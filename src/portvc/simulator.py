@@ -2,21 +2,33 @@
 
 Time steps are 1-based; step 1 is odd. A message sent at step t through
 port j of node v is delivered at step t+1 on the reciprocal port of the
-neighbour. The engine runs for exactly max(1, 2*max_degree + 1) steps and
-records every send in a transcript.
+neighbour. Every send is recorded in a transcript.
+
+The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
+reports it. The engine steps only the nodes with a message in flight: step 1
+scans every node; after that an odd step visits the nodes that proposed two
+steps earlier, and an even step the receivers of proposals. It stops at the
+first step that sends nothing, because no node can act after one. Each node
+proposes at most d(v) times, so a run costs O(n + m).
+
+The pure transition functions in `algorithm` remain the specification: any
+delivery the engine does not expect is handed to them, so a malformed port
+table raises the same `ProtocolFault` they raise.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
 from .errors import AnalysisFault, ProtocolFault
 from .graph import PortGraph
 
+PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+
+class TranscriptEntry(NamedTuple):
     time_step: int
     sender: int
     sender_port: int
@@ -48,81 +60,103 @@ def horizon_for(g: PortGraph) -> int:
     return max(1, 2 * g.max_degree + 1)
 
 
-def run(
-    g: PortGraph,
-    strict: bool = True,
-    extra_steps: int = 0,
-    record_history: bool = False,
-) -> tuple[CoverResult, Transcript]:
-    """Execute the protocol on g for the full horizon (plus `extra_steps`).
+def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
+    """Execute the protocol on g until no message is in flight.
 
-    Deterministic: identical inputs yield identical outputs.
+    `rounds_run` is the full horizon. Deterministic: identical inputs yield
+    identical outputs.
     """
-    result, transcript, _ = _run(g, strict, extra_steps, record_history)
+    n = g.node_count
+    ports = g.ports
+    deg = [len(p) for p in ports]
+    # node state in flat lists, one entry per NodeState field
+    a: list[int | None] = [None] * n
+    b: list[int | None] = [None] * n
+    i = [0] * n
+    c = [False] * n
+    horizon = horizon_for(g)
+    entries: list[TranscriptEntry] = []
+    append = entries.append
+    last_active = 0
+    # deliveries for the current step: (port, response) pairs at odd steps,
+    # proposal ports at even steps, each list in arrival order
+    responses: defaultdict[int, list[tuple[int, Msg]]] = defaultdict(list)
+    proposals: defaultdict[int, list[int]] = defaultdict(list)
+    proposers: range | list[int] = range(n)  # step 1 scans every node
+
+    for t in range(1, horizon + 1):
+        sent = len(entries)
+        if t % 2:
+            visit = proposers
+            if responses and not responses.keys() <= set(proposers):
+                # a response reached a node with no proposal out: visit in id
+                # order, so that the fault raised is the lowest node's
+                visit = sorted(set(proposers).union(u for u in responses if 0 <= u < n))
+            proposers = []
+            proposals = defaultdict(list)
+            for v in visit:
+                iv = i[v]
+                box = responses.get(v)
+                if box is not None:
+                    if len(box) > 1:
+                        raise ProtocolFault(f"step {t}, node {v}: {len(box)} odd-step deliveries")
+                    port, msg = box[0]  # only even steps respond, never with PROPOSE
+                    if a[v] or port != iv or not 1 <= iv <= deg[v]:
+                        state = NodeState(deg[v], a[v], b[v], iv, c[v])
+                        _refuse(odd_step, t, v, state, box[0])
+                    if msg is ACCEPT:
+                        a[v] = iv
+                        c[v] = True
+                        continue
+                iv += 1
+                i[v] = iv
+                if iv <= deg[v]:
+                    proposers.append(v)
+                    append(TranscriptEntry(t, v, iv, PROPOSE))
+                    u, k = ports[v][iv - 1]
+                    proposals[u].append(k)
+        else:
+            responses = defaultdict(list)
+            for v in sorted(proposals):
+                arrived = proposals[v]
+                box = sorted(arrived) if len(arrived) > 1 else arrived
+                if box[0] < 1 or box[-1] > deg[v] or len(set(box)) < len(box):
+                    state = NodeState(deg[v], a[v], b[v], i[v], c[v])
+                    _refuse(even_step, t, v, state, [(k, PROPOSE) for k in arrived])
+                for port in box:
+                    if b[v]:
+                        msg = REJECT
+                    else:
+                        b[v] = port
+                        c[v] = True
+                        msg = ACCEPT
+                    append(TranscriptEntry(t, v, port, msg))
+                    u, k = ports[v][port - 1]
+                    responses[u].append((k, msg))
+        if len(entries) == sent:
+            break
+        last_active = t
+
+    # most nodes end in one of a few states; frozen, so they can be shared
+    shared: dict[tuple, NodeState] = {}
+    states = tuple(
+        shared.get(key) or shared.setdefault(key, NodeState(*key))
+        for key in zip(deg, a, b, i, c)
+    )
+    cover = frozenset(v for v in range(n) if c[v])
+    pair_edges = pair_edges_from_states(g, states)
+    result = CoverResult(cover, pair_edges, horizon, last_active)
+    transcript = Transcript(tuple(entries), states, last_active)
     return result, transcript
 
 
-def run_with_history(
-    g: PortGraph, strict: bool = True, extra_steps: int = 0
-) -> tuple[CoverResult, Transcript, list[tuple[NodeState, ...]]]:
-    """Like `run` but also returns the state snapshot after every step."""
-    return _run(g, strict, extra_steps, record_history=True)
-
-
-def _run(
-    g: PortGraph, strict: bool, extra_steps: int, record_history: bool
-) -> tuple[CoverResult, Transcript, list[tuple[NodeState, ...]]]:
-    n = g.node_count
-    states = [NodeState(degree=g.degree(v)) for v in range(n)]
-    steps = horizon_for(g) + extra_steps
-    entries: list[TranscriptEntry] = []
-    inboxes: dict[int, list[tuple[int, Msg]]] = {}
-    last_active = 0
-    history: list[tuple[NodeState, ...]] = []
-
-    for t in range(1, steps + 1):
-        sends: list[tuple[int, int, Msg]] = []
-        if t % 2 == 1:
-            for v in range(n):
-                delivered = inboxes.get(v)
-                single: tuple[int, Msg] | None = None
-                if delivered:
-                    if len(delivered) > 1:
-                        raise ProtocolFault(
-                            f"step {t}, node {v}: {len(delivered)} odd-step deliveries"
-                        )
-                    single = delivered[0]
-                elif states[v].a is not None or states[v].i > states[v].degree:
-                    continue  # permanently quiescent, nothing to read or send
-                try:
-                    states[v], out = odd_step(states[v], single, strict)
-                except ProtocolFault as exc:
-                    raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
-                if out is not None:
-                    sends.append((v, out[0], out[1]))
-        else:
-            for v in sorted(inboxes):
-                try:
-                    states[v], outs = even_step(states[v], inboxes[v], strict)
-                except ProtocolFault as exc:
-                    raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
-                sends.extend((v, port, msg) for port, msg in outs)
-
-        inboxes = {}
-        for v, port, msg in sends:
-            entries.append(TranscriptEntry(t, v, port, msg))
-            u, k = g.ports[v][port - 1]
-            inboxes.setdefault(u, []).append((k, msg))
-        if sends:
-            last_active = t
-        if record_history:
-            history.append(tuple(states))
-
-    cover = frozenset(v for v in range(n) if states[v].c)
-    pair_edges = pair_edges_from_states(g, states)
-    result = CoverResult(cover, pair_edges, steps, last_active)
-    transcript = Transcript(tuple(entries), tuple(states), last_active)
-    return result, transcript, history
+def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
+    """Raise the fault `transition` finds in a delivery the engine does not expect."""
+    try:
+        transition(state, inbox)
+    except ProtocolFault as exc:
+        raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
+    raise AssertionError(f"step {t}, node {v}: {transition.__name__} accepted {inbox!r}")
 
 
 def pair_edges_from_states(

@@ -1,0 +1,81 @@
+"""Reference stepper: drives the pure transition functions over every node.
+
+It runs every step of the 2*delta+1 horizon plus `extra_steps`, calls
+`odd_step` on every node that is not permanently quiescent and `even_step`
+on every receiver, and can keep a snapshot of all node states after each
+step. It is the executable specification the frontier engine in
+`portvc.simulator.run` is checked against.
+"""
+from __future__ import annotations
+
+from portvc.algorithm import Msg, NodeState, even_step, odd_step
+from portvc.errors import ProtocolFault
+from portvc.graph import PortGraph
+from portvc.simulator import (
+    CoverResult,
+    Transcript,
+    TranscriptEntry,
+    horizon_for,
+    pair_edges_from_states,
+)
+
+
+def reference_run(
+    g: PortGraph, extra_steps: int = 0, record_history: bool = False
+) -> tuple[CoverResult, Transcript, list[tuple[NodeState, ...]]]:
+    """Step every node for the horizon plus `extra_steps`.
+
+    Returns the result, the transcript and, when `record_history` is set,
+    the state snapshot after every step (else an empty list).
+    """
+    n = g.node_count
+    states = [NodeState(degree=g.degree(v)) for v in range(n)]
+    steps = horizon_for(g) + extra_steps
+    entries: list[TranscriptEntry] = []
+    inboxes: dict[int, list[tuple[int, Msg]]] = {}
+    last_active = 0
+    history: list[tuple[NodeState, ...]] = []
+
+    for t in range(1, steps + 1):
+        sends: list[tuple[int, int, Msg]] = []
+        if t % 2 == 1:
+            for v in range(n):
+                delivered = inboxes.get(v)
+                single: tuple[int, Msg] | None = None
+                if delivered:
+                    if len(delivered) > 1:
+                        raise ProtocolFault(
+                            f"step {t}, node {v}: {len(delivered)} odd-step deliveries"
+                        )
+                    single = delivered[0]
+                elif states[v].a is not None or states[v].i > states[v].degree:
+                    continue  # permanently quiescent, nothing to read or send
+                try:
+                    states[v], out = odd_step(states[v], single)
+                except ProtocolFault as exc:
+                    raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
+                if out is not None:
+                    sends.append((v, out[0], out[1]))
+        else:
+            for v in sorted(inboxes):
+                try:
+                    states[v], outs = even_step(states[v], inboxes[v])
+                except ProtocolFault as exc:
+                    raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
+                sends.extend((v, port, msg) for port, msg in outs)
+
+        inboxes = {}
+        for v, port, msg in sends:
+            entries.append(TranscriptEntry(t, v, port, msg))
+            u, k = g.ports[v][port - 1]
+            inboxes.setdefault(u, []).append((k, msg))
+        if sends:
+            last_active = t
+        if record_history:
+            history.append(tuple(states))
+
+    cover = frozenset(v for v in range(n) if states[v].c)
+    pair_edges = pair_edges_from_states(g, states)
+    result = CoverResult(cover, pair_edges, steps, last_active)
+    transcript = Transcript(tuple(entries), tuple(states), last_active)
+    return result, transcript, history

