@@ -47,9 +47,9 @@ class Certificate:
 
 
 def check_cover(g: PortGraph, cover) -> bool:
-    """True iff every edge of g has at least one endpoint in `cover`."""
+    """True iff every node outside `cover` has all its neighbours in it."""
     cover = set(cover)
-    return all(u in cover or v in cover for u, v in g.edge_set())
+    return all(u in cover for v, es in enumerate(g.ports) if v not in cover for u, _ in es)
 
 
 def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:

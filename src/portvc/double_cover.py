@@ -35,15 +35,12 @@ class DoubleCover:
 def build_double_cover(g: PortGraph) -> DoubleCover:
     """Construct H on 2n nodes with 2|E| edges and an empty matching."""
     n = g.node_count
-    edges = set()
-    for u, v in g.edge_set():
-        edges.add((u, v + n))
-        edges.add((v, u + n))
     return DoubleCover(
         graph=g,
         blacks=tuple(range(n)),
         whites=tuple(range(n, 2 * n)),
-        edges=frozenset(edges),
+        # each port entry (u, _) of v is the copy edge {B(v), W(u)}
+        edges=frozenset((v, u + n) for v, es in enumerate(g.ports) for u, _ in es),
         matching=frozenset(),
     )
 

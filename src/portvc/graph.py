@@ -3,7 +3,7 @@
 A `PortGraph` is a simple undirected graph in which every node privately
 orders its incident edges by port numbers 1..d(v). It is the single source
 of truth for topology; everything downstream (simulator, analysis, double
-cover) consumes it read-only.
+cover) consumes it read-only. Parsing either text format costs O(n + m).
 """
 from __future__ import annotations
 
@@ -18,6 +18,10 @@ NUMBERING_POLICIES = ("sorted", "input", "random")
 # Threshold below which the random generator does a literal shuffled pass
 # over all node pairs; above it, pairs are sampled directly.
 _DENSE_PAIR_LIMIT = 200_000
+
+# Largest node count an `.el` header may declare. Ports are allocated per
+# node before any edge is read, so a larger header is refused unread.
+MAX_EDGE_LIST_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,15 +88,16 @@ def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> 
     """Build a PortGraph from per-node neighbour orderings.
 
     Reciprocal port numbers are derived from the position of each node in
-    its neighbour's ordering; the orderings must be symmetric and free of
-    duplicates.
+    its neighbour's ordering: ids in 0..n-1, no duplicates. The first u, in
+    row order, whose ordering lacks v raises `KeyError(u*n + v)`.
     """
-    port_of: dict[tuple[int, int], int] = {}
+    n = node_count
+    port_of: dict[int, int] = {}  # port of u at v, keyed by the int v*n + u
     for v, nbrs in enumerate(orders):
         for j, u in enumerate(nbrs, start=1):
-            port_of[(v, u)] = j
+            port_of[v * n + u] = j
     ports = tuple(
-        tuple((u, port_of[(u, v)]) for u in nbrs) for v, nbrs in enumerate(orders)
+        tuple((u, port_of[u * n + v]) for u in nbrs) for v, nbrs in enumerate(orders)
     )
     return PortGraph(node_count, ports)
 
@@ -294,7 +299,7 @@ def _int_tokens(tokens: list[str], line: int) -> list[int]:
 
 
 def parse(text: str) -> PortGraph:
-    """Inverse of `serialize`; `#` starts a comment line."""
+    """Inverse of `serialize`; `#` starts a comment line. Costs O(n + m)."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -336,11 +341,11 @@ def parse(text: str) -> PortGraph:
                 raise ParseError(f"self-loop at node {v}", lineno)
         orders[v] = nbrs
         node_line[v] = lineno
-    for v in range(n):
-        for u in orders[v]:  # type: ignore[union-attr]
-            if v not in orders[u]:  # type: ignore[operator]
-                raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v])
-    g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
+    try:
+        g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
+    except KeyError as exc:
+        u, v = divmod(exc.args[0], n)
+        raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v]) from None
     if g.num_edges != m:
         raise ParseError(f"header claims {m} edges, node lines give {g.num_edges}", header_line)
     return g
@@ -367,6 +372,8 @@ def parse_edge_list(text: str) -> EdgeList:
     if len(nums) != 1:
         raise ParseError("header must be a single node count", header_line)
     n = nums[0]
+    if n > MAX_EDGE_LIST_NODES:
+        raise ParseError(f"node count {n} exceeds the limit of {MAX_EDGE_LIST_NODES}", header_line)
     pairs = []
     for lineno, tokens in rows[1:]:
         nums = _int_tokens(tokens, lineno)

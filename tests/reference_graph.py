@@ -1,0 +1,96 @@
+"""Reference graph-layer code: the quadratic-time derivations `src/` replaced.
+
+`reference_parse` checks reciprocity by scanning neighbour lists, O(Σd²),
+and derives ports through a tuple-keyed dict. `reference_check_cover` and
+`reference_double_cover_edges` read the graph through `edge_set()`. They
+are the specifications the linear-time code in `portvc.graph`,
+`portvc.analysis` and `portvc.double_cover` is checked against.
+"""
+from __future__ import annotations
+
+from portvc.errors import ParseError
+from portvc.graph import PortGraph
+
+
+def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
+    port_of: dict[tuple[int, int], int] = {}
+    for v, nbrs in enumerate(orders):
+        for j, u in enumerate(nbrs, start=1):
+            port_of[(v, u)] = j
+    ports = tuple(
+        tuple((u, port_of[(u, v)]) for u in nbrs) for v, nbrs in enumerate(orders)
+    )
+    return PortGraph(node_count, ports)
+
+
+def _int_tokens(tokens: list[str], line: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"non-integer token in {tokens!r}", line) from None
+
+
+def reference_parse(text: str) -> PortGraph:
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped.split()))
+    if not rows:
+        raise ParseError("empty input, expected `n m` header")
+    header_line, header = rows[0]
+    nums = _int_tokens(header, header_line)
+    if len(nums) != 2:
+        raise ParseError("header must be `n m`", header_line)
+    n, m = nums
+    if n < 0 or m < 0:
+        raise ParseError("n and m must be non-negative", header_line)
+    body = rows[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {n} node lines, found {len(body)}",
+                         body[-1][0] if body else header_line)
+    orders: list = [None] * n
+    node_line = [0] * n
+    for lineno, tokens in body:
+        nums = _int_tokens(tokens, lineno)
+        if len(nums) < 2:
+            raise ParseError("node line must be `v d(v) neighbours...`", lineno)
+        v, d, nbrs = nums[0], nums[1], nums[2:]
+        if not 0 <= v < n:
+            raise ParseError(f"node id {v} out of range", lineno)
+        if orders[v] is not None:
+            raise ParseError(f"duplicate line for node {v}", lineno)
+        if len(nbrs) != d:
+            raise ParseError(f"node {v} declares degree {d} but lists {len(nbrs)} neighbours", lineno)
+        if len(set(nbrs)) != len(nbrs):
+            raise ParseError(f"node {v} lists a neighbour twice", lineno)
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at node {v}", lineno)
+        orders[v] = nbrs
+        node_line[v] = lineno
+    for v in range(n):
+        for u in orders[v]:
+            if v not in orders[u]:
+                raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v])
+    g = _from_neighbour_orders(n, orders)
+    if g.num_edges != m:
+        raise ParseError(f"header claims {m} edges, node lines give {g.num_edges}", header_line)
+    return g
+
+
+def reference_check_cover(g: PortGraph, cover) -> bool:
+    cover = set(cover)
+    return all(u in cover or v in cover for u, v in g.edge_set())
+
+
+def reference_double_cover_edges(g: PortGraph) -> frozenset[tuple[int, int]]:
+    n = g.node_count
+    edges = set()
+    for u, v in g.edge_set():
+        edges.add((u, v + n))
+        edges.add((v, u + n))
+    return frozenset(edges)

@@ -94,6 +94,13 @@ class TestRun:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_oversized_el_header_refused(self, capsys, tmp_path):
+        p = tmp_path / "huge.el"
+        p.write_text("1000000000\n0 1\n")
+        code, _, err = run_cli(capsys, "run", "--input", str(p))
+        assert code == EXIT_PARSE
+        assert "line 1: node count 1000000000 exceeds the limit" in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--input", str(tmp_path / "nope.el"))
         assert code == EXIT_IO

@@ -14,6 +14,7 @@ from portvc import (
     validate,
 )
 from portvc.graph import (
+    MAX_EDGE_LIST_NODES,
     clique_edges,
     cycle_edges,
     generate,
@@ -229,6 +230,12 @@ class TestSerialization:
             parse_edge_list("2\n0 1 9\n")
         with pytest.raises(ParseError, match="self-loop"):
             parse_edge_list("2\n1 1\n")
+
+    def test_edge_list_node_cap(self):
+        cap = MAX_EDGE_LIST_NODES
+        assert parse_edge_list(f"{cap}\n0 1\n").node_count == cap
+        with pytest.raises(ParseError, match=f"line 1: node count {cap + 1} exceeds"):
+            parse_edge_list(f"{cap + 1}\n0 1\n")
 
 
 class TestRelabel:

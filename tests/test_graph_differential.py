@@ -1,0 +1,128 @@
+"""Differential and fuzz tests for the linear-time graph layer.
+
+`parse` must return a graph equal to the one `reference_parse` returns, or
+raise a `ParseError` with the same message and line, on valid `.pg` texts,
+on perturbed ones and on arbitrary text. Both parsers must never raise
+anything but `ParseError`. `check_cover` and the double-cover edges must
+agree with their `edge_set()`-based references.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from portvc import (
+    ParseError,
+    build_double_cover,
+    check_cover,
+    parse,
+    parse_edge_list,
+    permute_ports,
+    serialize,
+)
+
+from reference_graph import (
+    reference_check_cover,
+    reference_double_cover_edges,
+    reference_parse,
+)
+from test_engine_differential import port_tables
+from test_properties import port_graphs
+
+
+def _outcome(parser, text: str):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _assert_same_parse(text: str) -> None:
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+@given(port_graphs(), st.integers(min_value=0, max_value=2**32))
+def test_round_trip(g, seed):
+    for h in (g, permute_ports(g, seed)):
+        assert parse(serialize(h)) == h
+        _assert_same_parse(serialize(h))
+
+
+# neighbour edits are listed twice: they are what reaches the reciprocity check
+PERTURBATIONS = (
+    "drop-neighbour", "add-neighbour", "drop-neighbour", "add-neighbour", "shuffle",
+    "out-of-range", "wrong-m", "wrong-n", "drop-line", "duplicate-line", "swap-lines",
+    "garbage-token",
+)
+
+
+@st.composite
+def perturbed_pg_texts(draw):
+    """A serialized port graph with one to three perturbations applied."""
+    g = draw(port_graphs(max_n=8))
+    n = g.node_count
+    lines = serialize(g).splitlines()
+    header = lines[0].split()
+    rows = [line.split() for line in lines[1:]]
+    node_id = st.integers(min_value=-2, max_value=n + 2).map(str)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        op = draw(st.sampled_from(PERTURBATIONS))
+        if op == "wrong-m":
+            header[1] = str(int(header[1]) + draw(st.sampled_from([-2, -1, 1, 2])))
+            continue
+        if op == "wrong-n":
+            header[0] = str(int(header[0]) + draw(st.sampled_from([-1, 1])))
+            continue
+        if not rows:
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        row = rows[i]
+        if op == "drop-neighbour" and len(row) > 2:
+            del row[draw(st.integers(min_value=2, max_value=len(row) - 1))]
+        elif op == "add-neighbour":
+            row.insert(draw(st.integers(min_value=2, max_value=len(row))), draw(node_id))
+        elif op == "shuffle":
+            row[2:] = draw(st.permutations(row[2:]))
+        elif op == "out-of-range":
+            row[draw(st.sampled_from([0] + list(range(2, len(row)))))] = draw(
+                st.sampled_from(["-1", str(n), str(n + 5)])
+            )
+        elif op == "drop-line":
+            del rows[i]
+        elif op == "duplicate-line":
+            rows.insert(i, list(row))
+        elif op == "swap-lines":
+            j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "garbage-token":
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = "x"
+        if op in ("drop-neighbour", "add-neighbour") and draw(st.integers(0, 3)):
+            row[1] = str(len(row) - 2)  # mostly keep the declared degree consistent
+    return "\n".join(" ".join(tokens) for tokens in [header] + rows) + "\n"
+
+
+@given(perturbed_pg_texts())
+@settings(max_examples=1000)
+def test_perturbed_texts_parse_like_reference(text):
+    _assert_same_parse(text)
+
+
+PG_LIKE = st.text(alphabet=st.sampled_from("0123456789  -\n#x\t"), max_size=60)
+
+
+@given(st.one_of(PG_LIKE, st.text(max_size=40)))
+@settings(max_examples=1000)
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    _assert_same_parse(text)
+    _outcome(parse_edge_list, text)
+
+
+@given(port_tables(), st.data())
+def test_check_cover_matches_reference(g, data):
+    cover = data.draw(st.sets(st.integers(min_value=-2, max_value=g.node_count + 1)))
+    assert check_cover(g, cover) == reference_check_cover(g, cover)
+
+
+@given(port_graphs())
+def test_double_cover_edges_match_reference(g):
+    assert build_double_cover(g).edges == reference_double_cover_edges(g)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -139,6 +140,14 @@ class TestReplay:
         g = permute_ports(cycle(6), 1)
         _, tr = run(g)
         assert replay(g, tr) == []
+
+    def test_reordered_complete_transcript_is_clean(self):
+        g = permute_ports(cycle(6), 1)
+        _, tr = run(g)
+        shuffled = tuple(reversed(tr.entries))
+        assert shuffled != tr.entries
+        assert replay(g, shuffled) == []
+        assert replay(g, dataclasses.replace(tr, entries=shuffled)) == []
 
     def test_flipped_entry_detected(self):
         g = k2()
