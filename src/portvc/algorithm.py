@@ -37,15 +37,12 @@ class NodeState:
 
 
 def odd_step(
-    state: NodeState,
-    inbox: tuple[int, Msg] | None,
-    strict: bool = True,
+    state: NodeState, inbox: tuple[int, Msg] | None
 ) -> tuple[NodeState, tuple[int, Msg] | None]:
     """Odd time step: read the pending response, advance the scan, propose.
 
     The inbox holds at most the single response to this node's outstanding
-    proposal, delivered on port `i`. Any other delivery is an engine fault:
-    raised when strict, silently dropped otherwise.
+    proposal, delivered on port `i`. Any other delivery is an engine fault.
     """
     if inbox is not None:
         port, msg = inbox
@@ -56,19 +53,16 @@ def odd_step(
             and msg is not Msg.PROPOSE
         )
         if not expected:
-            if strict:
-                raise ProtocolFault(
-                    f"unexpected odd-step delivery ({msg.value!r} on port {port}) "
-                    f"in state a={state.a} i={state.i} d={state.degree}"
-                )
-            inbox = None
+            raise ProtocolFault(
+                f"unexpected odd-step delivery ({msg.value!r} on port {port}) "
+                f"in state a={state.a} i={state.i} d={state.degree}"
+            )
 
     a, i, c = state.a, state.i, state.c
-    if a is None and 1 <= i <= state.degree and inbox is not None:
-        if inbox[1] is Msg.ACCEPT:
-            a = i
-            c = True
-        # a reject is read and discarded; only accept mutates the state
+    if inbox is not None and inbox[1] is Msg.ACCEPT:
+        a = i
+        c = True
+    # a reject is read and discarded; only accept mutates the state
     if a is None and i <= state.degree:
         i += 1
     outbox = None
@@ -80,9 +74,7 @@ def odd_step(
 
 
 def even_step(
-    state: NodeState,
-    inbox: list[tuple[int, Msg]],
-    strict: bool = True,
+    state: NodeState, inbox: list[tuple[int, Msg]]
 ) -> tuple[NodeState, list[tuple[int, Msg]]]:
     """Even time step: answer every proposal, accepting the first if free.
 
@@ -94,11 +86,7 @@ def even_step(
     seen_ports: set[int] = set()
     for port, msg in inbox:
         if msg is not Msg.PROPOSE or port in seen_ports or not 1 <= port <= state.degree:
-            if strict:
-                raise ProtocolFault(
-                    f"unexpected even-step delivery ({msg.value!r} on port {port})"
-                )
-            continue
+            raise ProtocolFault(f"unexpected even-step delivery ({msg.value!r} on port {port})")
         seen_ports.add(port)
         proposals.append(port)
 

@@ -7,6 +7,7 @@ cover) consumes it read-only. Parsing either text format costs O(n + m).
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,13 +16,13 @@ from .errors import GraphError, ParseError
 
 NUMBERING_POLICIES = ("sorted", "input", "random")
 
-# Threshold below which the random generator does a literal shuffled pass
-# over all node pairs; above it, pairs are sampled directly.
-_DENSE_PAIR_LIMIT = 200_000
-
 # Largest node count an `.el` header may declare. Ports are allocated per
 # node before any edge is read, so a larger header is refused unread.
 MAX_EDGE_LIST_NODES = 1_000_000
+
+# Largest expected number of G(n, p) candidate pairs, p*C(n,2), that
+# `random_bounded_edges` will sample before the degree filter.
+MAX_RANDOM_CANDIDATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class PortGraph:
     @property
     def num_edges(self) -> int:
         return sum(len(p) for p in self.ports) // 2
-
-    def neighbour(self, v: int, port: int) -> tuple[int, int]:
-        """Return (u, k): the node and reciprocal port behind `port` of v."""
-        return self.ports[v][port - 1]
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -213,11 +210,13 @@ def star_edges(leaves: int) -> EdgeList:
 def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeList:
     """Seeded random graph with max degree <= max_degree.
 
-    Candidate pairs are tried in a seeded random order, each kept with
-    probability p unless it would push an endpoint over the degree bound.
-    For large n the candidate set is sampled directly instead of shuffling
-    all C(n,2) pairs; either way the output is deterministic for fixed
-    (n, max_degree, p, seed).
+    Samples G(n, p) by geometric skipping over the pairs (w, v), w < v, in
+    row order (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005), shuffles
+    the sample with the same seeded RNG, then keeps each pair in that order
+    unless it would push an endpoint over the degree bound. Expected cost
+    O(n + p*C(n,2)). Deterministic for fixed (n, max_degree, p, seed).
+    Refuses n above `MAX_EDGE_LIST_NODES` and an expected candidate count
+    p*C(n,2) above `MAX_RANDOM_CANDIDATES`.
     """
     if n < 0:
         raise GraphError(f"n must be non-negative, got {n}")
@@ -227,34 +226,36 @@ def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeLi
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     if seed is None:
         raise GraphError("random generator requires a seed")
-    rng = random.Random(seed)
+    if n > MAX_EDGE_LIST_NODES:
+        raise GraphError(f"n {n} exceeds the limit of {MAX_EDGE_LIST_NODES}")
     total = n * (n - 1) // 2
+    if p * total > MAX_RANDOM_CANDIDATES:
+        raise GraphError(
+            f"expected candidate count p*C(n,2) = {p * total:.0f} exceeds the limit of "
+            f"{MAX_RANDOM_CANDIDATES}"
+        )
+    rng = random.Random(seed)
+    log_q = math.log1p(-p) if p < 1 else -math.inf
+    sample: list[tuple[int, int]] = []
+    w, v = -1, 1 if p > 0 else n  # p = 0 draws nothing (and log_q would be 0)
+    while v < n:
+        skip = math.log(1.0 - rng.random()) / log_q
+        if skip >= total:  # past the last pair; also an infinite skip from a denormal p
+            break
+        w += 1 + int(skip)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            sample.append((w, v))
+    rng.shuffle(sample)
     deg = [0] * n
     picked: list[tuple[int, int]] = []
-    if total <= _DENSE_PAIR_LIMIT:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        for u, v in pairs:
-            if rng.random() < p and deg[u] < max_degree and deg[v] < max_degree:
-                picked.append((u, v))
-                deg[u] += 1
-                deg[v] += 1
-    else:
-        target = min(int(round(p * total)), total)
-        seen: set[tuple[int, int]] = set()
-        while len(seen) < target:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                continue
-            seen.add(e)
-            if deg[e[0]] < max_degree and deg[e[1]] < max_degree:
-                picked.append(e)
-                deg[e[0]] += 1
-                deg[e[1]] += 1
+    for u, v in sample:
+        if deg[u] < max_degree and deg[v] < max_degree:
+            picked.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
     return EdgeList.from_pairs(n, picked)
 
 

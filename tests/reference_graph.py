@@ -2,14 +2,18 @@
 
 `reference_parse` checks reciprocity by scanning neighbour lists, O(Σd²),
 and derives ports through a tuple-keyed dict. `reference_check_cover` and
-`reference_double_cover_edges` read the graph through `edge_set()`. They
-are the specifications the linear-time code in `portvc.graph`,
-`portvc.analysis` and `portvc.double_cover` is checked against.
+`reference_double_cover_edges` read the graph through `edge_set()`.
+`reference_random_bounded_edges` shuffles all C(n,2) pairs and keeps each
+with probability p. They are the specifications the linear-time code in
+`portvc.graph`, `portvc.analysis` and `portvc.double_cover` is checked
+against.
 """
 from __future__ import annotations
 
+import random
+
 from portvc.errors import ParseError
-from portvc.graph import PortGraph
+from portvc.graph import EdgeList, PortGraph
 
 
 def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
@@ -94,3 +98,17 @@ def reference_double_cover_edges(g: PortGraph) -> frozenset[tuple[int, int]]:
         edges.add((u, v + n))
         edges.add((v, u + n))
     return frozenset(edges)
+
+
+def reference_random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeList:
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    deg = [0] * n
+    picked: list[tuple[int, int]] = []
+    for u, v in pairs:
+        if rng.random() < p and deg[u] < max_degree and deg[v] < max_degree:
+            picked.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return EdgeList.from_pairs(n, picked)

@@ -56,12 +56,6 @@ class TestOddStep:
         with pytest.raises(ProtocolFault):
             odd_step(s, (1, Msg.ACCEPT))
 
-    def test_lenient_mode_drops_unexpected(self):
-        s = NodeState(degree=3, i=2)
-        s2, out = odd_step(s, (1, Msg.REJECT), strict=False)
-        assert s2 == NodeState(degree=3, i=3)
-        assert out == (3, Msg.PROPOSE)
-
     def test_pure(self):
         s = NodeState(degree=2, i=1)
         assert odd_step(s, (1, Msg.REJECT)) == odd_step(s, (1, Msg.REJECT))
@@ -101,12 +95,6 @@ class TestEvenStep:
         s = NodeState(degree=2)
         with pytest.raises(ProtocolFault):
             even_step(s, [(1, Msg.PROPOSE), (1, Msg.PROPOSE)])
-
-    def test_lenient_mode_drops_unexpected(self):
-        s = NodeState(degree=2)
-        s2, out = even_step(s, [(1, Msg.ACCEPT), (2, Msg.PROPOSE)], strict=False)
-        assert s2.b == 2
-        assert out == [(2, Msg.ACCEPT)]
 
     def test_pure(self):
         s = NodeState(degree=3)

@@ -140,6 +140,18 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "random", "10", "3", "0.5")  # no seed
         assert code == EXIT_USAGE
 
+    def test_random_too_many_nodes_refused(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "random", "1000000000", "3", "0.0", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "n 1000000000 exceeds the limit of 1000000" in err
+
+    def test_random_too_many_candidates_refused(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "random", "100000", "3", "0.5", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "expected candidate count p*C(n,2) = 2499975000 exceeds the limit of 2000000" in err
+
 
 class TestOracle:
     def test_c5(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from portvc import (
 )
 from portvc.graph import (
     MAX_EDGE_LIST_NODES,
+    MAX_RANDOM_CANDIDATES,
     clique_edges,
     cycle_edges,
     generate,
@@ -58,16 +59,16 @@ class TestFromEdgeList:
     def test_sorted_policy_on_4_cycle(self):
         g = from_edge_list(cycle_edges(4))
         # sorted rule: node 1's neighbours {0, 2} in ascending order
-        assert g.neighbour(1, 1)[0] == 0
-        assert g.neighbour(1, 2)[0] == 2
+        assert g.ports[1][0][0] == 0
+        assert g.ports[1][1][0] == 2
         assert all(g.degree(v) == 2 for v in range(4))
         assert validate(g) == []
 
     def test_input_policy_follows_first_appearance(self):
         el = EdgeList.from_pairs(3, [(1, 2), (0, 1)])
         g = from_edge_list(el, "input")
-        assert g.neighbour(1, 1)[0] == 2
-        assert g.neighbour(1, 2)[0] == 0
+        assert g.ports[1][0][0] == 2
+        assert g.ports[1][1][0] == 0
         assert validate(g) == []
 
     def test_random_policy_requires_seed(self):
@@ -175,6 +176,49 @@ class TestGenerators:
         assert max(deg) <= 3
         assert len(el.edges) > 0
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_random_tiny_n(self, n):
+        el = random_bounded_edges(n, 3, 1.0, seed=1)
+        assert el.node_count == n
+        assert el.edges == (((0, 1),) if n == 2 else ())
+
+    def test_random_zero_degree_cap_gives_no_edges(self):
+        assert random_bounded_edges(10, 0, 1.0, seed=1).edges == ()
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300])
+    def test_random_vanishing_p_gives_no_edges(self, p):
+        # a denormal p makes the geometric skip infinite; it must not overflow
+        assert random_bounded_edges(50, 3, p, seed=1).edges == ()
+
+    def test_random_p_one_is_the_complete_graph(self):
+        el = random_bounded_edges(7, 6, 1.0, seed=3)
+        assert sorted(el.edges) == sorted(clique_edges(7).edges)
+
+    def test_random_p_one_is_degree_filtered_and_maximal(self):
+        n, cap = 12, 3
+        el = random_bounded_edges(n, cap, 1.0, seed=4)
+        deg = [0] * n
+        for u, v in el.edges:
+            deg[u] += 1
+            deg[v] += 1
+        assert max(deg) <= cap
+        edges = set(el.edges)
+        # every missing pair has an endpoint at the cap, or the filter would have kept it
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert (u, v) in edges or deg[u] == cap or deg[v] == cap
+
+    def test_random_node_cap(self):
+        assert random_bounded_edges(MAX_EDGE_LIST_NODES, 3, 0.0, seed=1).node_count == MAX_EDGE_LIST_NODES
+        with pytest.raises(GraphError, match=f"n {MAX_EDGE_LIST_NODES + 1} exceeds the limit"):
+            random_bounded_edges(MAX_EDGE_LIST_NODES + 1, 3, 0.0, seed=1)
+
+    def test_random_candidate_cap(self):
+        n = 2001  # C(n,2) = 2,001,000, just above the cap at p = 1
+        assert n * (n - 1) // 2 > MAX_RANDOM_CANDIDATES >= 2000 * 1999 // 2
+        with pytest.raises(GraphError, match="expected candidate count .* exceeds the limit"):
+            random_bounded_edges(n, 3, 1.0, seed=1)
+
     def test_generate_dispatcher(self):
         assert generate("cycle", 5) == cycle_edges(5)
         assert generate("random", 10, 3, 0.5, seed=1) == random_bounded_edges(10, 3, 0.5, 1)
@@ -248,5 +292,5 @@ class TestRelabel:
         assert validate(r) == []
         for v in range(3):
             for j in range(1, g.degree(v) + 1):
-                u, k = g.neighbour(v, j)
-                assert r.neighbour(perm[v], j) == (perm[u], k)
+                u, k = g.ports[v][j - 1]
+                assert r.ports[perm[v]][j - 1] == (perm[u], k)

@@ -4,10 +4,15 @@
 raise a `ParseError` with the same message and line, on valid `.pg` texts,
 on perturbed ones and on arbitrary text. Both parsers must never raise
 anything but `ParseError`. `check_cover` and the double-cover edges must
-agree with their `edge_set()`-based references.
+agree with their `edge_set()`-based references. `random_bounded_edges` must
+draw from the same distribution as `reference_random_bounded_edges`.
 """
 from __future__ import annotations
 
+import math
+import statistics
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +25,13 @@ from portvc import (
     permute_ports,
     serialize,
 )
+from portvc.graph import random_bounded_edges
 
 from reference_graph import (
     reference_check_cover,
     reference_double_cover_edges,
     reference_parse,
+    reference_random_bounded_edges,
 )
 from test_engine_differential import port_tables
 from test_properties import port_graphs
@@ -126,3 +133,32 @@ def test_check_cover_matches_reference(g, data):
 @given(port_graphs())
 def test_double_cover_edges_match_reference(g):
     assert build_double_cover(g).edges == reference_double_cover_edges(g)
+
+
+DISTRIBUTION_SEEDS = range(2000)
+
+
+def _edge_count_and_degree_histogram(generate, n: int, max_degree: int, p: float):
+    """Per seed: the edge count, then the number of nodes of each degree 0..max_degree."""
+    rows = []
+    for seed in DISTRIBUTION_SEEDS:
+        el = generate(n, max_degree, p, seed)
+        deg = [0] * n
+        for u, v in el.edges:
+            deg[u] += 1
+            deg[v] += 1
+        rows.append([len(el.edges)] + [deg.count(k) for k in range(max_degree + 1)])
+    return list(zip(*rows))
+
+
+@pytest.mark.parametrize("n,max_degree,p", [(12, 3, 0.4), (40, 2, 0.1), (60, 5, 0.08), (8, 10, 1.0)])
+def test_random_generator_matches_reference_distribution(n, max_degree, p):
+    """The means of the edge count and of every degree-histogram bin, over
+    2000 fixed seeds, differ by at most 5 standard errors of the difference."""
+    new = _edge_count_and_degree_histogram(random_bounded_edges, n, max_degree, p)
+    ref = _edge_count_and_degree_histogram(reference_random_bounded_edges, n, max_degree, p)
+    labels = ["edges"] + [f"nodes of degree {k}" for k in range(max_degree + 1)]
+    for label, a, b in zip(labels, new, ref):
+        se = math.sqrt((statistics.pvariance(a) + statistics.pvariance(b)) / len(DISTRIBUTION_SEEDS))
+        diff = statistics.fmean(a) - statistics.fmean(b)
+        assert abs(diff) <= 5 * se + 1e-9, f"{label}: mean differs by {diff:.4f}, 5 SE = {5 * se:.4f}"
