@@ -111,13 +111,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    with open(args.input) as fh:
-        text = fh.read()
-    if args.format == "pg":
-        base = graph.parse(text)
-    else:
-        base = graph.from_edge_list(graph.parse_edge_list(text), "sorted")
-
+    base = _load_graph(args.input, args.format, "sorted", None)
     sizes = []
     max_ratio: Fraction | None = None
     failing_seed = None
@@ -165,11 +159,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_INVARIANT
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None:
     p.add_argument("--input", required=True, help="input graph file")
     p.add_argument("--format", choices=("pg", "el"), default="el")
-    p.add_argument("--numbering", choices=graph.NUMBERING_POLICIES, default="sorted",
-                   help="port numbering policy for .el inputs")
+    if numbering:
+        p.add_argument("--numbering", choices=graph.NUMBERING_POLICIES, default="sorted",
+                       help="port numbering policy for .el inputs")
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -197,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="rerun under many port numberings")
-    _add_input_flags(p_sweep)
+    _add_input_flags(p_sweep, numbering=False)  # .el inputs are read with sorted numbering
     p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, seed=0)
 
     p_verify = sub.add_parser("verify", help="replay a transcript against a graph")
     _add_input_flags(p_verify)
@@ -216,8 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "command", None) == "sweep" and args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -256,7 +256,7 @@ def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeLi
             picked.append((u, v))
             deg[u] += 1
             deg[v] += 1
-    return EdgeList.from_pairs(n, picked)
+    return EdgeList(n, tuple(picked))  # distinct pairs (w, v), w < v, by construction
 
 
 def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
@@ -299,16 +299,21 @@ def _int_tokens(tokens: list[str], line: int) -> list[int]:
         raise ParseError(f"non-integer token in {tokens!r}", line) from None
 
 
-def parse(text: str) -> PortGraph:
-    """Inverse of `serialize`; `#` starts a comment line. Costs O(n + m)."""
-    rows: list[tuple[int, list[str]]] = []
+def _rows(text: str, header: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) per line that is neither blank nor a `#` comment."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
+        if stripped and not stripped.startswith("#"):
+            rows.append((lineno, stripped.split()))
     if not rows:
-        raise ParseError("empty input, expected `n m` header")
+        raise ParseError(f"empty input, expected {header}")
+    return rows
+
+
+def parse(text: str) -> PortGraph:
+    """Inverse of `serialize`; `#` starts a comment line. Costs O(n + m)."""
+    rows = _rows(text, "`n m` header")
     header_line, header = rows[0]
     nums = _int_tokens(header, header_line)
     if len(nums) != 2:
@@ -360,14 +365,7 @@ def serialize_edge_list(el: EdgeList) -> str:
 
 def parse_edge_list(text: str) -> EdgeList:
     """Edge-list text format: header `n`, then one `u v` pair per line."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
-    if not rows:
-        raise ParseError("empty input, expected node count header")
+    rows = _rows(text, "node count header")
     header_line, header = rows[0]
     nums = _int_tokens(header, header_line)
     if len(nums) != 1:

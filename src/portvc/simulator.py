@@ -187,11 +187,12 @@ def pair_edges_from_states(
 # ---------------------------------------------------------------------------
 
 def format_transcript(t: Transcript) -> str:
-    """One `t v port kind` line per entry, sorted by (t, v, port)."""
-    lines = [
-        f"{e.time_step} {e.sender} {e.sender_port} {e.kind.value}"
-        for e in sorted(t.entries, key=lambda e: (e.time_step, e.sender, e.sender_port))
-    ]
+    """One `t v port kind` line per entry, in the order given.
+
+    `run` emits its entries in (t, v, port) order, so its transcript is
+    written in that order.
+    """
+    lines = [f"{e.time_step} {e.sender} {e.sender_port} {e.kind.value}" for e in t.entries]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

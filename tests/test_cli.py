@@ -216,6 +216,18 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--input", k2_el, "--trials", "0")
         assert code == EXIT_USAGE
 
+    def test_default_seed_is_zero(self, capsys, star3_el):
+        _, out1, _ = run_cli(capsys, "sweep", "--input", star3_el, "--trials", "5")
+        _, out2, _ = run_cli(capsys, "sweep", "--input", star3_el, "--trials", "5", "--seed", "0")
+        assert out1 == out2
+
+    def test_numbering_flag_refused(self, capsys, k2_el):
+        # .el inputs are always read with sorted numbering; the trials permute the ports
+        code, out, err = run_cli(capsys, "sweep", "--input", k2_el, "--numbering", "random")
+        assert code == EXIT_USAGE
+        assert "--numbering" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_genuine_trace(self, capsys, star3_el, tmp_path):

@@ -1,11 +1,14 @@
 """Differential tests: the frontier engine `run` against the reference stepper.
 
 On valid graphs the two must agree on every field of the result and the
-transcript, entry order included. On malformed port tables (not reciprocal,
+transcript, entry order included, and `run`'s entries must come in
+(t, sender, port) order. On malformed port tables (not reciprocal,
 out of range or not simple) `run` must return what the reference returns or
 raise the same exception type with the same message.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,8 @@ def _assert_same_run(g: PortGraph) -> None:
     res, tr = run(g)
     ref_res, ref_tr, _ = reference_run(g)
     assert tr.entries == ref_tr.entries
+    # (t, v, port) order, which `format_transcript` writes without sorting
+    assert list(tr.entries) == sorted(tr.entries, key=itemgetter(0, 1, 2))
     assert tr.final_states == ref_tr.final_states
     assert tr.last_active_step == ref_tr.last_active_step
     assert res == ref_res  # cover, pair_edges, rounds_run, last_active_step

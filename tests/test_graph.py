@@ -275,6 +275,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match="self-loop"):
             parse_edge_list("2\n1 1\n")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+    def test_empty_input_messages(self, text):
+        for parser, expected in (
+            (parse, "empty input, expected `n m` header"),
+            (parse_edge_list, "empty input, expected node count header"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parser(text)
+            assert (str(exc.value), exc.value.line) == (expected, None)
+
+    def test_edge_list_line_numbers_count_skipped_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("# c\n2\n\n0 1 9\n")
+        assert (str(exc.value), exc.value.line) == ("line 4: edge line must be `u v`", 4)
+
     def test_edge_list_node_cap(self):
         cap = MAX_EDGE_LIST_NODES
         assert parse_edge_list(f"{cap}\n0 1\n").node_count == cap

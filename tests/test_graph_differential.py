@@ -5,7 +5,8 @@ raise a `ParseError` with the same message and line, on valid `.pg` texts,
 on perturbed ones and on arbitrary text. Both parsers must never raise
 anything but `ParseError`. `check_cover` and the double-cover edges must
 agree with their `edge_set()`-based references. `random_bounded_edges` must
-draw from the same distribution as `reference_random_bounded_edges`.
+draw from the same distribution as `reference_random_bounded_edges`, and
+its edges must pass the checks of `EdgeList.from_pairs` unchanged.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portvc import (
+    EdgeList,
     ParseError,
     build_double_cover,
     check_cover,
@@ -143,6 +145,7 @@ def _edge_count_and_degree_histogram(generate, n: int, max_degree: int, p: float
     rows = []
     for seed in DISTRIBUTION_SEEDS:
         el = generate(n, max_degree, p, seed)
+        assert el == EdgeList.from_pairs(n, el.edges)  # in range, simple, normalized
         deg = [0] * n
         for u, v in el.edges:
             deg[u] += 1
