@@ -56,20 +56,21 @@ def check_cover(g: PortGraph, cover) -> bool:
 def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     """Decompose the pair edges into path/cycle components.
 
-    Asserts the structural guarantees (pair edges are graph edges, degree
-    <= 2, non-isolated nodes equal the cover); a violation is an analysis
-    fault, never a property of a genuine run. Once they hold, every
-    component is a simple path or cycle, and one walk per component
-    decomposes it in O(n + m) time, besides one sort of the cover.
-    Components come in order of their smallest node; a path starts at its
-    smaller end, a cycle at its smallest node, towards that node's smaller
-    neighbour.
+    Asserts the structural guarantees (pair edges are graph edges, found in
+    the port table of their smaller end; degree <= 2; non-isolated nodes
+    equal the cover); a violation is an analysis fault, never a property of
+    a genuine run. Once they hold, every component is a simple path or
+    cycle, and one walk per component decomposes it in O(n + m) time,
+    besides one sort of the cover. Components come in order of their
+    smallest node; a path starts at its smaller end, a cycle at its smallest
+    node, towards that node's smaller neighbour.
     """
     edges = result.pair_edges
-    if not edges <= g.edge_set():
-        raise AnalysisFault("pair edges are not a subset of the graph's edges")
+    n = g.node_count
     adj: dict[int, list[int]] = {}
     for u, v in edges:
+        if not (0 <= u < v < n and any(w == v for w, _ in g.ports[u])):
+            raise AnalysisFault("pair edges are not a subset of the graph's edges")
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     for v, nbrs in adj.items():

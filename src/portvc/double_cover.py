@@ -1,11 +1,11 @@
 """Bipartite double cover of a port graph and the matching view of a run.
 
-Every node v gets a black copy B(v) = v and a white copy W(v) = v + n;
-each original edge {u, v} becomes the two copy edges {B(u), W(v)} and
-{B(v), W(u)}. The accepted proposals of a run, read off the transcript,
-form a maximal matching in this graph; projecting the matched copies back
-recovers the cover, and projecting the matching edges recovers the pair
-edges.
+Every node v has a black copy B(v) = v and a white copy W(v) = v + n; the
+bipartition is implicit in the ids. Each port entry (v -> u) is the copy
+edge {B(v), W(u)}, so the port table already is the cover and `DoubleCover`
+only views it. The accepted proposals of a run form a maximal matching in
+it, checked in O(n + m) with no m-sized edge set; projecting the matched
+copies back recovers the cover, and the matching edges the pair edges.
 """
 from __future__ import annotations
 
@@ -19,67 +19,68 @@ from .simulator import Transcript, TranscriptEntry
 
 @dataclass(frozen=True)
 class DoubleCover:
-    """2-coloured double cover H plus an (optionally filled) matching.
+    """Double cover H of `graph`, a view of its port table, plus a matching.
 
-    Edges and matching entries are (black, white) pairs with black in
-    0..n-1 and white in n..2n-1. The bipartition is stored explicitly.
+    Matching entries are (black, white) pairs with black in 0..n-1 and
+    white in n..2n-1.
     """
 
     graph: PortGraph
-    blacks: tuple[int, ...]
-    whites: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     matching: frozenset[tuple[int, int]]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The 2|E| copy edges {B(v), W(u)}, derived from the port table."""
+        n = self.graph.node_count
+        return frozenset((v, u + n) for v, es in enumerate(self.graph.ports) for u, _ in es)
 
 
 def build_double_cover(g: PortGraph) -> DoubleCover:
-    """Construct H on 2n nodes with 2|E| edges and an empty matching."""
-    n = g.node_count
-    return DoubleCover(
-        graph=g,
-        blacks=tuple(range(n)),
-        whites=tuple(range(n, 2 * n)),
-        # each port entry (u, _) of v is the copy edge {B(v), W(u)}
-        edges=frozenset((v, u + n) for v, es in enumerate(g.ports) for u, _ in es),
-        matching=frozenset(),
-    )
+    """H on 2n nodes with 2|E| edges and an empty matching."""
+    return DoubleCover(g, frozenset())
 
 
 def extract_matching(
     h: DoubleCover, t: Transcript | tuple[TranscriptEntry, ...]
 ) -> DoubleCover:
-    """Fill the matching from a run's accepted proposals.
+    """Fill the matching from a run's accepted proposals, in O(n + m).
 
     An `accept` sent by v on port j answers the proposal of the neighbour u
     behind that port, matching {B(u), W(v)}. Matching-ness and maximality
     are asserted, never assumed: either failing would falsify the protocol's
-    maximal-matching guarantee.
+    maximal-matching guarantee. Maximality holds when every port entry
+    (v -> u) has B(v) or W(u) matched; a fault names the first entry, in
+    (v, port) order, with neither.
     """
-    g = h.graph
-    n = g.node_count
+    ports = h.graph.ports
+    n = h.graph.node_count
     entries = t.entries if isinstance(t, Transcript) else t
     matching: set[tuple[int, int]] = set()
-    matched_black: set[int] = set()
-    matched_white: set[int] = set()
+    black = [False] * n  # black[u]: B(u) is matched
+    white = [False] * n
     for e in entries:
         if e.kind is not Msg.ACCEPT:
             continue
-        u, _ = g.ports[e.sender][e.sender_port - 1]
-        edge = (u, e.sender + n)
-        if edge not in h.edges:
+        v, j = e.sender, e.sender_port
+        if not (0 <= v < n and 1 <= j <= len(ports[v])):
+            raise AnalysisFault(f"accept at step {e.time_step} from node {v} names no port {j}")
+        u, k = ports[v][j - 1]
+        edge = (u, v + n)
+        if ports[u][k - 1 : k] != ((v, j),):  # empty if k is no port of u
             raise AnalysisFault(f"accepted proposal maps to non-edge {edge}")
-        if u in matched_black:
+        if black[u]:
             raise AnalysisFault(f"black copy of node {u} matched twice")
-        if e.sender in matched_white:
-            raise AnalysisFault(f"white copy of node {e.sender} matched twice")
-        matched_black.add(u)
-        matched_white.add(e.sender)
+        if white[v]:
+            raise AnalysisFault(f"white copy of node {v} matched twice")
+        black[u] = white[v] = True
         matching.add(edge)
-    for b, w in h.edges:
-        if b not in matched_black and (w - n) not in matched_white:
-            raise AnalysisFault(
-                f"matching not maximal: edge ({b}, {w}) has no matched endpoint"
-            )
+    for v, es in enumerate(ports):
+        if not black[v]:
+            for u, _ in es:
+                if not white[u]:
+                    raise AnalysisFault(
+                        f"matching not maximal: edge ({v}, {u + n}) has no matched endpoint"
+                    )
     return replace(h, matching=frozenset(matching))
 
 

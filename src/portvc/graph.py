@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError, ParseError
 
@@ -299,21 +299,19 @@ def _int_tokens(tokens: list[str], line: int) -> list[int]:
         raise ParseError(f"non-integer token in {tokens!r}", line) from None
 
 
-def _rows(text: str, header: str) -> list[tuple[int, list[str]]]:
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) per line that is neither blank nor a `#` comment."""
-    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            rows.append((lineno, stripped.split()))
-    if not rows:
-        raise ParseError(f"empty input, expected {header}")
-    return rows
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
 
 
 def parse(text: str) -> PortGraph:
     """Inverse of `serialize`; `#` starts a comment line. Costs O(n + m)."""
-    rows = _rows(text, "`n m` header")
+    rows = list(_rows(text))
+    if not rows:
+        raise ParseError("empty input, expected `n m` header")
     header_line, header = rows[0]
     nums = _int_tokens(header, header_line)
     if len(nums) != 2:
@@ -365,7 +363,9 @@ def serialize_edge_list(el: EdgeList) -> str:
 
 def parse_edge_list(text: str) -> EdgeList:
     """Edge-list text format: header `n`, then one `u v` pair per line."""
-    rows = _rows(text, "node count header")
+    rows = list(_rows(text))
+    if not rows:
+        raise ParseError("empty input, expected node count header")
     header_line, header = rows[0]
     nums = _int_tokens(header, header_line)
     if len(nums) != 1:

@@ -23,7 +23,7 @@ from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
 from .errors import AnalysisFault, ProtocolFault
-from .graph import PortGraph
+from .graph import PortGraph, _rows
 
 PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
 
@@ -198,11 +198,7 @@ def format_transcript(t: Transcript) -> str:
 
 def parse_transcript(text: str) -> tuple[TranscriptEntry, ...]:
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    for lineno, tokens in _rows(text):
         if len(tokens) != 4:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
         try:

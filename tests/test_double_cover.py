@@ -1,12 +1,17 @@
+import tracemalloc
+
 import pytest
 
 from portvc import (
     AnalysisFault,
     EdgeList,
     Msg,
+    PortGraph,
+    analyze,
     build_double_cover,
     extract_matching,
     from_edge_list,
+    permute_ports,
     project_cover,
     project_matching_edges,
     run,
@@ -20,13 +25,10 @@ class TestBuildDoubleCover:
     def test_k2_two_disjoint_edges(self):
         h = build_double_cover(k2())
         assert h.edges == frozenset({(0, 3), (1, 2)})
-        assert h.blacks == (0, 1)
-        assert h.whites == (2, 3)
 
     def test_sizes(self):
         g = cycle(5)
         h = build_double_cover(g)
-        assert len(h.blacks) + len(h.whites) == 2 * g.node_count
         assert len(h.edges) == 2 * g.num_edges
 
     def test_triangle_becomes_six_cycle(self):
@@ -104,8 +106,30 @@ class TestExtractMatching:
         pruned = tuple(
             e for e in tr.entries if not (e.kind is Msg.ACCEPT and e.sender == 0)
         )
-        with pytest.raises(AnalysisFault, match="not maximal"):
+        # B(0) and W(1) stay matched; the first port entry in (v, port)
+        # order with neither copy matched is (1 -> 0), the copy edge (1, 2)
+        with pytest.raises(AnalysisFault, match=r"not maximal: edge \(1, 2\) has no"):
             extract_matching(build_double_cover(g), pruned)
+
+    def test_accept_on_unreciprocated_port_is_a_fault(self):
+        # port 1 of node 0 leads to node 1, whose port 1 leads on to node 2
+        g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
+        accept = (TranscriptEntry(2, 0, 1, Msg.ACCEPT),)
+        with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
+            extract_matching(build_double_cover(g), accept)
+
+    @pytest.mark.parametrize("sender,port", [(9, 1), (0, 5), (0, 0), (-1, 1)])
+    def test_forged_accept_off_the_port_table_is_a_fault(self, sender, port):
+        """An accept from no node, or on no port of its sender, is named as
+        such: never an `IndexError`, and never wrapped round by a negative
+        index to another node's port."""
+        g = star(3)
+        _, tr = run(g)
+        forged = tr.entries + (TranscriptEntry(4, sender, port, Msg.ACCEPT),)
+        with pytest.raises(
+            AnalysisFault, match=rf"^accept at step 4 from node {sender} names no port {port}$"
+        ):
+            extract_matching(build_double_cover(g), forged)
 
 
 class TestProjection:
@@ -136,3 +160,21 @@ class TestProjection:
         h = extract_matching(build_double_cover(g), tr)
         assert project_cover(h) == res.cover
         assert project_matching_edges(h) == res.pair_edges
+
+
+def _peak_bytes(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_peak_memory_close_to_run():
+    """`analyze` reads the port table instead of building m-sized edge sets,
+    so on a dense graph its peak stays within a small factor of `run`'s."""
+    g = permute_ports(clique(400), 7)
+    run_peak = _peak_bytes(run, g)
+    analyze_peak = _peak_bytes(analyze, g)
+    assert analyze_peak <= 3 * run_peak, (analyze_peak, run_peak)

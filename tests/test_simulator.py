@@ -134,6 +134,18 @@ class TestTranscriptText:
         with pytest.raises(ProtocolFault, match="line 1"):
             parse_transcript("1 0 propose\n")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+    def test_empty_transcript_parses_to_nothing(self, text):
+        assert parse_transcript(text) == ()
+
+    def test_error_line_numbers_count_skipped_lines(self):
+        from portvc import ProtocolFault
+
+        with pytest.raises(ProtocolFault, match=r"^transcript line 4: expected `t v port kind`$"):
+            parse_transcript("# c\n1 0 1 propose\n\n1 0 propose\n")
+        with pytest.raises(ProtocolFault, match=r"^transcript line 3: malformed entry$"):
+            parse_transcript("\n# c\n1 0 1 offer\n")
+
 
 class TestReplay:
     def test_genuine_transcript_is_clean(self):
