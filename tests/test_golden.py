@@ -1,9 +1,9 @@
 """Golden `vc` output: stdout and exit codes, byte for byte.
 
 Each case under `tests/data/golden/` is an input graph plus the output of
-`vc run --trace`, the trace file, `vc verify` on that trace and
-`vc sweep --trials 3`. The random input is itself the golden stdout of a
-seeded `vc gen random`. A change that alters any report, transcript or
+`vc run --trace`, the trace file, `vc verify` on that trace,
+`vc sweep --trials 3`, `vc oracle` and `vc run --with-oracle`. The random
+input is itself the golden stdout of a seeded `vc gen random`. A change that alters any report, transcript or
 exit code fails here.
 
 Regenerate the files (only when an output change is intended) with
@@ -56,6 +56,8 @@ def _outputs(case: str, tmp: pathlib.Path) -> dict[str, str]:
         # sweep reads .el with sorted numbering and refuses --numbering
         ("sweep", ("sweep", "--input", str(GOLDEN / name), "--trials", "3")
          + (("--format", "pg") if name.endswith(".pg") else ())),
+        ("oracle", ("oracle",) + src),
+        ("run_oracle", ("run",) + src + ("--with-oracle",)),
     ):
         codes[cmd], files[f"{case}.{cmd}.out"] = _cli(argv)
         if cmd == "run":
