@@ -7,8 +7,10 @@ floats, so reruns are byte-identical. Exit codes: 0 ok, 1 usage, 2 parse,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import graph, oracle, simulator
@@ -38,9 +40,19 @@ def _ratio_str(r: Fraction | None) -> str | None:
     return f"{r.numerator}/{r.denominator}"
 
 
+def _read_text(path: str, refusal: Callable[[int], Exception]) -> str:
+    """The file's UTF-8 text. A byte that does not decode raises
+    `refusal(line)`, where `line` counts from 1."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise refusal(data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _load_graph(path: str, fmt: str, policy: str, seed: int | None) -> graph.PortGraph:
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path, lambda line: ParseError("not UTF-8 text", line))
     if fmt == "pg":
         return graph.parse(text)
     el = graph.parse_edge_list(text)
@@ -152,8 +164,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.input, args.format, args.numbering, args.seed)
-    with open(args.trace) as fh:
-        entries = simulator.parse_transcript(fh.read())
+    text = _read_text(
+        args.trace, lambda line: ProtocolFault(f"transcript line {line}: not UTF-8 text"))
+    entries = simulator.parse_transcript(text)
     violations = simulator.replay(g, entries)
     print(json.dumps({"violations": violations}))
     return EXIT_OK if not violations else EXIT_INVARIANT
@@ -168,7 +181,14 @@ def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None
     p.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `vc` argument parser, built on first call and shared after that.
+
+    argparse parsers are reference cycles, so building one per command
+    would leave garbage for the cyclic collector. The parser is never
+    mutated after it is built: `parse_args` fills a fresh namespace.
+    """
     parser = _Parser(prog="vc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -183,27 +183,37 @@ def relabel(g: PortGraph, perm: Sequence[int]) -> PortGraph:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _check_node_count(n: int) -> None:
+    """Refuse, before anything is allocated, a graph `vc run` could not read back."""
+    if n > MAX_EDGE_LIST_NODES:
+        raise GraphError(f"n {n} exceeds the limit of {MAX_EDGE_LIST_NODES}")
+
+
 def cycle_edges(n: int) -> EdgeList:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
+    _check_node_count(n)
     return EdgeList.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_edges(n: int) -> EdgeList:
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
+    _check_node_count(n)
     return EdgeList.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def clique_edges(n: int) -> EdgeList:
     if n < 1:
         raise GraphError(f"clique needs n >= 1, got {n}")
+    _check_node_count(n)
     return EdgeList.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star_edges(leaves: int) -> EdgeList:
     if leaves < 1:
         raise GraphError(f"star needs >= 1 leaf, got {leaves}")
+    _check_node_count(leaves + 1)
     return EdgeList.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -226,8 +236,7 @@ def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeLi
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     if seed is None:
         raise GraphError("random generator requires a seed")
-    if n > MAX_EDGE_LIST_NODES:
-        raise GraphError(f"n {n} exceeds the limit of {MAX_EDGE_LIST_NODES}")
+    _check_node_count(n)
     total = n * (n - 1) // 2
     if p * total > MAX_RANDOM_CANDIDATES:
         raise GraphError(
@@ -259,24 +268,41 @@ def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeLi
     return EdgeList(n, tuple(picked))  # distinct pairs (w, v), w < v, by construction
 
 
+# kind -> (generator, parameter names, parameter types)
+_GENERATORS = {
+    "cycle": (cycle_edges, ("n",), (int,)),
+    "path": (path_edges, ("n",), (int,)),
+    "clique": (clique_edges, ("n",), (int,)),
+    "star": (star_edges, ("leaves",), (int,)),
+    "random": (random_bounded_edges, ("n", "max_degree", "p"), (int, int, float)),
+}
+
+
 def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
-    """Dispatch to a named generator; used by the CLI."""
-    if kind == "cycle":
-        return cycle_edges(*map(int, params))
-    if kind == "path":
-        return path_edges(*map(int, params))
-    if kind == "clique":
-        return clique_edges(*map(int, params))
-    if kind == "star":
-        return star_edges(*map(int, params))
-    if kind == "random":
-        if len(params) != 3:
-            raise GraphError("random generator takes params: n max_degree p")
-        n, d, p = int(params[0]), int(params[1]), float(params[2])
-        if seed is None:
-            raise GraphError("random generator requires --seed")
-        return random_bounded_edges(n, d, p, seed)
-    raise GraphError(f"unknown generator kind {kind!r}")
+    """Dispatch to a named generator; used by the CLI.
+
+    Each parameter, a string on the command line, is converted to the type
+    the generator expects. A wrong parameter count or a value that does not
+    convert raises `GraphError` naming the kind and its parameters.
+    """
+    if kind not in _GENERATORS:
+        raise GraphError(f"unknown generator kind {kind!r}")
+    make, names, types = _GENERATORS[kind]
+    expected = f"{kind} generator takes params: {' '.join(names)}"
+    if len(params) != len(names):
+        raise GraphError(f"{expected}; got {len(params)}")
+    values = []
+    for name, typ, raw in zip(names, types, params):
+        try:
+            values.append(typ(raw))
+        except (TypeError, ValueError):
+            kind_of = "an integer" if typ is int else "a number"
+            raise GraphError(f"{expected}; {name} must be {kind_of}, got {raw!r}") from None
+    if kind != "random":
+        return make(*values)
+    if seed is None:
+        raise GraphError("random generator requires --seed")
+    return make(*values, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -61,36 +61,50 @@ def solve(g: PortGraph, node_limit: int = 10_000_000, cap: int = DEFAULT_CAP) ->
     if not edges:
         return OracleResult(0, frozenset(), 1)
 
-    best_size = n
-    best_cover: set[int] = set(range(n))
-    explored = 0
+    search = _Search(edges, adj, n, node_limit)
+    search.recurse(set())
+    return OracleResult(search.best_size, frozenset(search.best_cover), search.explored)
 
-    def recurse(cover: set[int]) -> None:
-        nonlocal best_size, best_cover, explored
-        explored += 1
-        if explored > node_limit:
+
+class _Search:
+    """Branch-and-bound state: the incumbent cover and the tree-node count.
+
+    A class rather than a closure, so that the search does not refer to
+    itself and leaves no reference cycle behind.
+    """
+
+    def __init__(self, edges: list[tuple[int, int]], adj: list[set[int]], n: int,
+                 node_limit: int):
+        self.edges = edges
+        self.adj = adj
+        self.node_limit = node_limit
+        self.best_size = n
+        self.best_cover: set[int] = set(range(n))
+        self.explored = 0
+
+    def recurse(self, cover: set[int]) -> None:
+        self.explored += 1
+        if self.explored > self.node_limit:
             raise OracleRefusal(
-                f"search budget of {node_limit} nodes exceeded; "
-                f"best cover found so far has size {best_size}"
+                f"search budget of {self.node_limit} nodes exceeded; "
+                f"best cover found so far has size {self.best_size}"
             )
-        if len(cover) >= best_size:
+        if len(cover) >= self.best_size:
             return
+        edges = self.edges
         uncovered = next(
             ((u, v) for u, v in edges if u not in cover and v not in cover), None
         )
         if uncovered is None:
-            best_size = len(cover)
-            best_cover = set(cover)
+            self.best_size = len(cover)
+            self.best_cover = set(cover)
             return
-        if len(cover) + _matching_bound(edges, cover) >= best_size:
+        if len(cover) + _matching_bound(edges, cover) >= self.best_size:
             return
         u, v = uncovered
-        recurse(cover | {u})
+        self.recurse(cover | {u})
         # u excluded: every edge at u must be covered by the other endpoint
-        recurse(cover | adj[u])
-
-    recurse(set())
-    return OracleResult(best_size, frozenset(best_cover), explored)
+        self.recurse(cover | self.adj[u])
 
 
 def brute_force(g: PortGraph) -> OracleResult:

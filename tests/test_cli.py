@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 
 import pytest
@@ -9,6 +12,7 @@ from portvc.cli import (
     EXIT_ORACLE,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -135,10 +139,24 @@ class TestGen:
         assert max(deg) <= 4
 
     def test_bad_params_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "gen", "cycle", "2")
-        assert code == EXIT_USAGE
-        code, _, _ = run_cli(capsys, "gen", "random", "10", "3", "0.5")  # no seed
-        assert code == EXIT_USAGE
+        for argv, message in (
+            (("cycle", "2"), "cycle needs n >= 3, got 2"),
+            (("random", "10", "3", "0.5"), "random generator requires --seed"),
+            (("cycle",), "cycle generator takes params: n; got 0"),
+            (("cycle", "abc"), "cycle generator takes params: n; n must be an integer, got 'abc'"),
+            (("path", "3", "4"), "path generator takes params: n; got 2"),
+            (("random", "10", "x", "0.5", "--seed", "1"),
+             "random generator takes params: n max_degree p; max_degree must be an integer, "
+             "got 'x'"),
+            (("random", "10", "3", "half", "--seed", "1"),
+             "random generator takes params: n max_degree p; p must be a number, got 'half'"),
+            # refused before allocating: `vc run` could not read the file back
+            (("path", "1000001"), "n 1000001 exceeds the limit of 1000000"),
+            (("cycle", "1000001"), "n 1000001 exceeds the limit of 1000000"),
+            (("star", "1000000"), "n 1000001 exceeds the limit of 1000000"),
+        ):
+            code, out, err = run_cli(capsys, "gen", *argv)
+            assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
 
     def test_random_too_many_nodes_refused(self, capsys):
         code, out, err = run_cli(capsys, "gen", "random", "1000000000", "3", "0.0", "--seed", "1")
@@ -245,6 +263,101 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--input", star3_el, "--trace", str(trace))
         assert code == EXIT_INVARIANT
         assert json.loads(out)["violations"] != []
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("argv", [
+        ("run",), ("run", "--format", "pg"), ("oracle",), ("sweep",),
+        ("verify", "--trace", "unread.trace"),
+    ])
+    def test_graph_file_is_a_parse_error(self, capsys, tmp_path, argv):
+        p = tmp_path / "bad"
+        p.write_bytes(b"3\n0 1\n\xff\xfe1 2\n")
+        code, out, err = run_cli(capsys, *argv, "--input", str(p))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "parse error: line 3: not UTF-8 text\n"
+
+    def test_trace_file_is_refused_like_a_malformed_line(self, capsys, k2_el, tmp_path):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(b"1 0 1 propose\n1 1 1 \xffpropose\n")
+        code, out, err = run_cli(capsys, "verify", "--input", k2_el, "--trace", str(trace))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == "invariant violation: transcript line 2: not UTF-8 text\n"
+
+
+def _quiet_main(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("earlier, later", [
+        (("sweep", "--input", "{star}", "--trials", "3", "--seed", "4"),
+         ("sweep", "--input", "{star}", "--trials", "3")),
+        (("sweep", "--input", "{star}", "--trials", "7"),
+         ("sweep", "--input", "{star}")),
+        (("run", "--input", "{star}", "--numbering", "random", "--seed", "5"),
+         ("run", "--input", "{star}")),
+        (("run", "--input", "{star}", "--with-oracle", "--trace", "{trace}"),
+         ("run", "--input", "{star}")),
+        (("gen", "random", "12", "3", "0.4", "--seed", "7"), ("gen", "cycle", "5")),
+        (("gen", "star", "3", "-o", "{out}"), ("gen", "star", "3")),
+        (("oracle", "--input", "{star}", "--cap", "1"), ("oracle", "--input", "{star}")),
+        (("verify", "--input", "{star}", "--trace", "{trace}"), ("run", "--input", "{star}")),
+    ])
+    def test_later_call_ignores_earlier_flags(self, star3_el, tmp_path, earlier, later):
+        paths = {"star": star3_el, "trace": str(tmp_path / "t.trace"),
+                 "out": str(tmp_path / "o.el")}
+        earlier = [a.format(**paths) for a in earlier]
+        later = [a.format(**paths) for a in later]
+        _quiet_main(["run", "--input", star3_el, "--trace", paths["trace"]])
+        build_parser.cache_clear()
+        first = _quiet_main(later)  # as the first command of a process
+        build_parser.cache_clear()
+        _quiet_main(earlier)
+        assert _quiet_main(later) == first
+
+    def test_sweep_seed_defaults_to_zero_after_a_seeded_sweep(self, star3_el):
+        _quiet_main(["sweep", "--input", star3_el, "--trials", "2", "--seed", "4"])
+        _, out = _quiet_main(["sweep", "--input", star3_el, "--trials", "2"])
+        assert [json.loads(line)["seed"] for line in out.splitlines()[:-1]] == [0, 1]
+
+
+class TestNoCyclicGarbage:
+    """A passing command frees all it allocates by reference counting."""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "random", "14", "3", "0.4", "--seed", "2", "-o", "{el}"),
+        ("run", "--input", "{el}", "--trace", "{trace}", "--with-oracle"),
+        ("verify", "--input", "{el}", "--trace", "{trace}"),
+        ("sweep", "--input", "{el}", "--trials", "3"),
+        ("oracle", "--input", "{el}"),
+    ])
+    def test_command_leaves_no_cycles(self, tmp_path, argv):
+        paths = {"el": str(tmp_path / "g.el"), "trace": str(tmp_path / "g.trace")}
+        argv = [a.format(**paths) for a in argv]
+        assert _quiet_main(["gen", "random", "14", "3", "0.4", "--seed", "2",
+                            "-o", paths["el"]])[0] == EXIT_OK
+        assert _quiet_main(["run", "--input", paths["el"], "--trace", paths["trace"]])[0] == EXIT_OK
+        assert _quiet_main(argv)[0] == EXIT_OK  # warm-up: first-call caches
+        out = io.StringIO()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert code == EXIT_OK
+        assert garbage == 0
 
 
 class TestUsage:

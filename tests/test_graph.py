@@ -13,6 +13,7 @@ from portvc import (
     serialize_edge_list,
     validate,
 )
+from portvc import graph as graph_mod
 from portvc.graph import (
     MAX_EDGE_LIST_NODES,
     MAX_RANDOM_CANDIDATES,
@@ -218,6 +219,33 @@ class TestGenerators:
         assert n * (n - 1) // 2 > MAX_RANDOM_CANDIDATES >= 2000 * 1999 // 2
         with pytest.raises(GraphError, match="expected candidate count .* exceeds the limit"):
             random_bounded_edges(n, 3, 1.0, seed=1)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("cycle", 11), ("path", 11), ("clique", 11), ("star", 10), ("random", 11),
+    ])
+    def test_every_kind_refuses_too_many_nodes(self, monkeypatch, kind, n):
+        # a small limit keeps the cost of a missing check small
+        monkeypatch.setattr(graph_mod, "MAX_EDGE_LIST_NODES", 10)
+        params = (n, 3, 0.5) if kind == "random" else (n,)
+        with pytest.raises(GraphError, match="^n 11 exceeds the limit of 10$"):
+            generate(kind, *params, seed=1)
+        params = (n - 1, 3, 0.5) if kind == "random" else (n - 1,)
+        assert generate(kind, *params, seed=1).node_count == 10
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("cycle", (), "cycle generator takes params: n; got 0"),
+        ("star", ("3", "4"), "star generator takes params: leaves; got 2"),
+        ("clique", ("2.5",), "clique generator takes params: n; n must be an integer, got '2.5'"),
+        ("random", ("9", "3", "p"),
+         "random generator takes params: n max_degree p; p must be a number, got 'p'"),
+    ])
+    def test_generate_refuses_bad_params(self, kind, params, message):
+        with pytest.raises(GraphError) as exc:
+            generate(kind, *params, seed=1)
+        assert str(exc.value) == message
+
+    def test_generate_converts_string_params(self):
+        assert generate("random", "10", "3", "0.5", seed=1) == random_bounded_edges(10, 3, 0.5, 1)
 
     def test_generate_dispatcher(self):
         assert generate("cycle", 5) == cycle_edges(5)
