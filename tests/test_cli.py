@@ -145,6 +145,8 @@ class TestGen:
             (("cycle",), "cycle generator takes params: n; got 0"),
             (("cycle", "abc"), "cycle generator takes params: n; n must be an integer, got 'abc'"),
             (("path", "3", "4"), "path generator takes params: n; got 2"),
+            (("star", "3", "4"), "star generator takes params: leaves; got 2"),
+            (("clique", "2.5"), "clique generator takes params: n; n must be an integer, got '2.5'"),
             (("random", "10", "x", "0.5", "--seed", "1"),
              "random generator takes params: n max_degree p; max_degree must be an integer, "
              "got 'x'"),
