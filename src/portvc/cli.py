@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -51,6 +53,22 @@ def _read_text(path: str, refusal: Callable[[int], Exception]) -> str:
         raise refusal(data.count(b"\n", 0, exc.start) + 1) from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, replacing what the file held.
+
+    A regular file is overwritten in place and then cut to the new length
+    rather than opened with O_TRUNC: ext4 starts writeback of a written
+    file's blocks when it is closed after a truncation to zero, so each
+    `vc gen -o` or `vc run --trace` over an earlier output blocked on the
+    disk. A failed write leaves the file incomplete either way.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _load_graph(path: str, fmt: str, policy: str, seed: int | None) -> graph.PortGraph:
     text = _read_text(path, lambda line: ParseError("not UTF-8 text", line))
     if fmt == "pg":
@@ -90,8 +108,7 @@ def cmd_run(args) -> int:
     report, all_pass = _report_for(g, args.with_oracle)
     if args.trace:
         _, transcript = simulator.run(g)
-        with open(args.trace, "w") as fh:
-            fh.write(simulator.format_transcript(transcript))
+        _write_text(args.trace, simulator.format_transcript(transcript))
     print(json.dumps(report))
     return EXIT_OK if all_pass else EXIT_INVARIANT
 
@@ -100,8 +117,7 @@ def cmd_gen(args) -> int:
     el = graph.generate(args.kind, *args.params, seed=args.seed)
     text = graph.serialize_edge_list(el)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

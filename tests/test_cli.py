@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 
 import pytest
 
@@ -91,6 +92,15 @@ class TestRun:
             "1 0 1 propose\n1 1 1 propose\n2 0 1 accept\n2 1 1 accept\n"
         )
 
+    def test_trace_replaces_a_longer_file(self, capsys, k2_el, tmp_path):
+        trace = tmp_path / "k2.trace"
+        trace.write_text("x" * 1000)
+        code, _, _ = run_cli(capsys, "run", "--input", k2_el, "--trace", str(trace))
+        assert code == EXIT_OK
+        assert trace.read_text() == (
+            "1 0 1 propose\n1 1 1 propose\n2 0 1 accept\n2 1 1 accept\n"
+        )
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         p = tmp_path / "bad.el"
         p.write_text("2\n0 zero\n")
@@ -125,6 +135,22 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "star", "5", "-o", str(out_path))
         assert code == EXIT_OK
         assert out_path.read_text().startswith("6\n0 1\n")
+
+    def test_output_replaces_a_longer_file(self, capsys, tmp_path):
+        out_path = tmp_path / "g.el"
+        run_cli(capsys, "gen", "star", "9", "-o", str(out_path))
+        code, _, _ = run_cli(capsys, "gen", "path", "3", "-o", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_text() == "3\n0 1\n1 2\n"
+
+    def test_output_to_a_device(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "path", "3", "-o", os.devnull)
+        assert (code, out) == (EXIT_OK, "")
+
+    def test_output_to_a_directory_is_an_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "gen", "path", "3", "-o", str(tmp_path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("i/o error:")
 
     def test_random_deterministic_and_bounded(self, capsys, tmp_path):
         a, b = tmp_path / "a.el", tmp_path / "b.el"
