@@ -241,13 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

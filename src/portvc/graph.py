@@ -8,6 +8,7 @@ cover) consumes it read-only. Parsing either text format costs O(n + m).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -20,8 +21,9 @@ NUMBERING_POLICIES = ("sorted", "input", "random")
 # node before any edge is read, so a larger header is refused unread.
 MAX_EDGE_LIST_NODES = 1_000_000
 
-# Largest expected number of G(n, p) candidate pairs, p*C(n,2), that
-# `random_bounded_edges` will sample before the degree filter.
+# Largest number of node pairs a generator will materialize: the C(n,2)
+# pairs of a clique, and the expected number of G(n, p) candidate pairs,
+# p*C(n,2), that `random_bounded_edges` samples before the degree filter.
 MAX_RANDOM_CANDIDATES = 2_000_000
 
 
@@ -207,6 +209,10 @@ def clique_edges(n: int) -> EdgeList:
     if n < 1:
         raise GraphError(f"clique needs n >= 1, got {n}")
     _check_node_count(n)
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_RANDOM_CANDIDATES:
+        raise GraphError(
+            f"clique pair count C(n,2) = {pairs} exceeds the limit of {MAX_RANDOM_CANDIDATES}")
     return EdgeList.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -405,7 +411,11 @@ def parse_edge_list(text: str) -> EdgeList:
         if len(nums) != 2:
             raise ParseError("edge line must be `u v`", lineno)
         pairs.append((nums[0], nums[1]))
+    unread = iter(pairs)
     try:
-        return EdgeList.from_pairs(n, pairs)
+        return EdgeList.from_pairs(n, unread)
     except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+        # from_pairs stops at the first pair it refuses, or before the first
+        # pair if it refuses n, so the pairs left unread locate the line
+        index = len(pairs) - operator.length_hint(unread)
+        raise ParseError(str(exc), rows[index][0]) from exc

@@ -210,10 +210,8 @@ def parse_transcript(text: str) -> tuple[TranscriptEntry, ...]:
     return tuple(entries)
 
 
-def _sorted_entries(entries) -> list[tuple[int, int, int, str]]:
-    return sorted(
-        (e.time_step, e.sender, e.sender_port, e.kind.value) for e in entries
-    )
+def _entry_counts(entries) -> Counter[tuple[int, int, int, str]]:
+    return Counter((e.time_step, e.sender, e.sender_port, e.kind.value) for e in entries)
 
 
 def replay(g: PortGraph, t: Transcript | tuple[TranscriptEntry, ...]) -> list[str]:
@@ -222,8 +220,8 @@ def replay(g: PortGraph, t: Transcript | tuple[TranscriptEntry, ...]) -> list[st
     entries = t.entries if isinstance(t, Transcript) else t
     violations = []
     if entries != fresh.entries:  # a differing order alone is no violation
-        claimed = Counter(_sorted_entries(entries))
-        derived = Counter(_sorted_entries(fresh.entries))
+        claimed = _entry_counts(entries)
+        derived = _entry_counts(fresh.entries)
         for entry in sorted((claimed - derived).elements()):
             violations.append(f"claimed entry not derivable: {entry}")
         for entry in sorted((derived - claimed).elements()):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from portvc import analysis, graph, simulator
 from portvc.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -16,6 +17,7 @@ from portvc.cli import (
     build_parser,
     main,
 )
+from portvc.errors import AnalysisFault
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +182,13 @@ class TestGen:
         assert out == ""
         assert "n 1000000000 exceeds the limit of 1000000" in err
 
+    def test_clique_too_many_pairs_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_RANDOM_CANDIDATES", 10)
+        assert run_cli(capsys, "gen", "clique", "5")[0] == EXIT_OK  # C(5,2) = 10
+        code, out, err = run_cli(capsys, "gen", "clique", "6")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: clique pair count C(n,2) = 15 exceeds the limit of 10\n"
+
     def test_random_too_many_candidates_refused(self, capsys):
         code, out, err = run_cli(capsys, "gen", "random", "100000", "3", "0.5", "--seed", "1")
         assert code == EXIT_USAGE
@@ -279,6 +288,34 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--input", star3_el, "--trace", str(trace))
         assert code == EXIT_INVARIANT
         assert json.loads(out)["violations"] != []
+
+
+class TestFailingChecks:
+    def test_failed_check_still_prints_the_full_report(self, capsys, monkeypatch, star3_el):
+        _, passing, _ = run_cli(capsys, "run", "--input", star3_el)
+        monkeypatch.setattr(analysis, "check_cover", lambda g, cover: False)
+        code, out, err = run_cli(capsys, "run", "--input", star3_el)
+        expected = json.loads(passing)
+        expected["checks"]["cover-valid"] = "fail"
+        assert (code, json.loads(out), err) == (EXIT_INVARIANT, expected, "")
+
+    def test_fault_inside_run_prints_no_report(self, capsys, monkeypatch, star3_el):
+        def fault(g, states):
+            raise AnalysisFault("pair symmetry violated: injected")
+        monkeypatch.setattr(simulator, "pair_edges_from_states", fault)
+        code, out, err = run_cli(capsys, "run", "--input", star3_el)
+        assert (code, out) == (EXIT_INVARIANT, "")
+        assert err == "invariant violation: pair symmetry violated: injected\n"
+
+    def test_sweep_names_the_first_failing_seed(self, capsys, monkeypatch, star3_el):
+        calls = iter(range(5))
+        monkeypatch.setattr(analysis, "check_cover", lambda g, cover: next(calls) not in (1, 3))
+        code, out, _ = run_cli(capsys, "sweep", "--input", star3_el, "--trials", "5",
+                               "--seed", "10")
+        *lines, summary = map(json.loads, out.splitlines())
+        assert [line["checks_pass"] for line in lines] == [True, False, True, False, True]
+        assert (summary["all_checks_pass"], summary["failing_seed"]) == (False, 11)
+        assert code == EXIT_INVARIANT
 
 
 class TestUndecodableInput:

@@ -3,8 +3,9 @@
 Each case under `tests/data/golden/` is an input graph plus the output of
 `vc run --trace`, the trace file, `vc verify` on that trace,
 `vc sweep --trials 3`, `vc oracle` and `vc run --with-oracle`. The random
-input is itself the golden stdout of a seeded `vc gen random`. A change that alters any report, transcript or
-exit code fails here.
+input is itself the golden stdout of a seeded `vc gen random`, and the
+stdout of `vc gen` for each other kind is pinned at two small sizes. A
+change that alters any report, transcript or exit code fails here.
 
 Regenerate the files (only when an output change is intended) with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -25,6 +26,14 @@ from portvc.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 GEN_ARGV = ("gen", "random", "12", "3", "0.4", "--seed", "5")
+
+# `vc gen` kinds without a seed, each at two sizes
+GEN_KINDS = [(kind, size) for kind, sizes in (
+    ("cycle", ("3", "5")),
+    ("path", ("1", "4")),
+    ("clique", ("1", "4")),
+    ("star", ("1", "3")),
+) for size in sizes]
 
 # case name -> (input file, extra input flags)
 CASES = {
@@ -72,6 +81,11 @@ def test_gen_random_is_golden():
     assert out == (GOLDEN / "random12.el").read_text()
 
 
+@pytest.mark.parametrize("kind, size", GEN_KINDS)
+def test_gen_kinds_are_golden(kind, size):
+    assert _cli(("gen", kind, size)) == (0, (GOLDEN / f"{kind}{size}.gen.out").read_text())
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_are_golden(case, tmp_path):
     for fname, content in _outputs(case, tmp_path).items():
@@ -89,6 +103,8 @@ def _regenerate() -> None:
         ("random12.el", _cli(GEN_ARGV)[1]),
     ):
         (GOLDEN / fname).write_text(text)
+    for kind, size in GEN_KINDS:
+        (GOLDEN / f"{kind}{size}.gen.out").write_text(_cli(("gen", kind, size))[1])
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for fname, content in _outputs(case, pathlib.Path(tmp)).items():

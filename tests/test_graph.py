@@ -288,6 +288,17 @@ class TestSerialization:
             parse_edge_list("2\n0 1 9\n")
         with pytest.raises(ParseError, match="self-loop"):
             parse_edge_list("2\n1 1\n")
+        # an edge, or a node count, that the edge list refuses is reported
+        # on the line that holds it
+        for text, message, line in (
+            ("-1\n", "node_count must be non-negative, got -1", 1),
+            ("2\n0 1\n1 1\n", "self-loop at node 1", 3),
+            ("3\n0 1\n# c\n1 2\n\n1 0\n", "duplicate edge {0, 1}", 6),
+            ("2\n0 1\n0 2\n", "node id out of range in edge {0, 2}", 3),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_edge_list(text)
+            assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
     def test_empty_input_messages(self, text):
