@@ -182,8 +182,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.input, args.format, args.numbering, args.seed)
     text = _read_text(
         args.trace, lambda line: ProtocolFault(f"transcript line {line}: not UTF-8 text"))
-    entries = simulator.parse_transcript(text)
-    violations = simulator.replay(g, entries)
+    violations = simulator.replay(g, simulator.parse_transcript(text))
     print(json.dumps({"violations": violations}))
     return EXIT_OK if not violations else EXIT_INVARIANT
 

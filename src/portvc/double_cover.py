@@ -10,11 +10,11 @@ copies back recovers the cover, and the matching edges the pair edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
-from .algorithm import Msg
 from .errors import AnalysisFault
 from .graph import PortGraph
-from .simulator import Transcript, TranscriptEntry
+from .simulator import Transcript
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ def build_double_cover(g: PortGraph) -> DoubleCover:
     return DoubleCover(g, frozenset())
 
 
-def extract_matching(
-    h: DoubleCover, t: Transcript | tuple[TranscriptEntry, ...]
-) -> DoubleCover:
+def extract_matching(h: DoubleCover, t: Transcript | tuple[int | str, ...]) -> DoubleCover:
     """Fill the matching from a run's accepted proposals, in O(n + m).
 
     An `accept` sent by v on port j answers the proposal of the neighbour u
@@ -50,20 +48,19 @@ def extract_matching(
     are asserted, never assumed: either failing would falsify the protocol's
     maximal-matching guarantee. Maximality holds when every port entry
     (v -> u) has B(v) or W(u) matched; a fault names the first entry, in
-    (v, port) order, with neither.
+    (v, port) order, with neither. `t` is a transcript or its flat form.
     """
     ports = h.graph.ports
     n = h.graph.node_count
-    entries = t.entries if isinstance(t, Transcript) else t
+    flat = t.flat if isinstance(t, Transcript) else t
     matching: set[tuple[int, int]] = set()
     black = [False] * n  # black[u]: B(u) is matched
     white = [False] * n
-    for e in entries:
-        if e.kind is not Msg.ACCEPT:
-            continue
-        v, j = e.sender, e.sender_port
+    # the offset in `flat` of each accept, in transcript order
+    for x in compress(range(0, len(flat), 4), map("accept".__eq__, flat[3::4])):
+        step, v, j = flat[x : x + 3]
         if not (0 <= v < n and 1 <= j <= len(ports[v])):
-            raise AnalysisFault(f"accept at step {e.time_step} from node {v} names no port {j}")
+            raise AnalysisFault(f"accept at step {step} from node {v} names no port {j}")
         u, k = ports[v][j - 1]
         edge = (u, v + n)
         if ports[u][k - 1 : k] != ((v, j),):  # empty if k is no port of u

@@ -11,6 +11,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from itertools import combinations, count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError, ParseError
@@ -88,16 +89,15 @@ def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> 
 
     Reciprocal port numbers are derived from the position of each node in
     its neighbour's ordering: ids in 0..n-1, no duplicates. The first u, in
-    row order, whose ordering lacks v raises `KeyError(u*n + v)`.
+    row order, whose ordering lacks v raises `KeyError(v, u)`.
     """
-    n = node_count
-    port_of: dict[int, int] = {}  # port of u at v, keyed by the int v*n + u
-    for v, nbrs in enumerate(orders):
-        for j, u in enumerate(nbrs, start=1):
-            port_of[v * n + u] = j
-    ports = tuple(
-        tuple((u, port_of[u * n + v]) for u in nbrs) for v, nbrs in enumerate(orders)
-    )
+    position = [dict(zip(nbrs, count(1))) for nbrs in orders]
+    try:  # v's port at each u it lists, row by row
+        recip = iter([position[u][v] for v, nbrs in enumerate(orders) for u in nbrs])
+    except KeyError as exc:  # the row of v = exc.args[0] lists a u that lacks v
+        v = exc.args[0]
+        raise KeyError(v, next(u for u in orders[v] if v not in position[u])) from None
+    ports = tuple(tuple(zip(nbrs, recip)) for nbrs in orders)  # zip stops at the row's end
     return PortGraph(node_count, ports)
 
 
@@ -195,14 +195,14 @@ def cycle_edges(n: int) -> EdgeList:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     _check_node_count(n)
-    return EdgeList.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    return EdgeList(n, (*zip(range(n - 1), range(1, n)), (0, n - 1)))
 
 
 def path_edges(n: int) -> EdgeList:
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
     _check_node_count(n)
-    return EdgeList.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    return EdgeList(n, tuple(zip(range(n - 1), range(1, n))))
 
 
 def clique_edges(n: int) -> EdgeList:
@@ -213,14 +213,14 @@ def clique_edges(n: int) -> EdgeList:
     if pairs > MAX_RANDOM_CANDIDATES:
         raise GraphError(
             f"clique pair count C(n,2) = {pairs} exceeds the limit of {MAX_RANDOM_CANDIDATES}")
-    return EdgeList.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return EdgeList(n, tuple(combinations(range(n), 2)))
 
 
 def star_edges(leaves: int) -> EdgeList:
     if leaves < 1:
         raise GraphError(f"star needs >= 1 leaf, got {leaves}")
     _check_node_count(leaves + 1)
-    return EdgeList.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return EdgeList(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
 def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeList:
@@ -326,7 +326,7 @@ def serialize(g: PortGraph) -> str:
 
 def _int_tokens(tokens: list[str], line: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise ParseError(f"non-integer token in {tokens!r}", line) from None
 
@@ -334,9 +334,9 @@ def _int_tokens(tokens: list[str], line: int) -> list[int]:
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) per line that is neither blank nor a `#` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line.split()
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            yield lineno, tokens
 
 
 def parse(text: str) -> PortGraph:
@@ -368,19 +368,20 @@ def parse(text: str) -> PortGraph:
             raise ParseError(f"duplicate line for node {v}", lineno)
         if len(nbrs) != d:
             raise ParseError(f"node {v} declares degree {d} but lists {len(nbrs)} neighbours", lineno)
-        if len(set(nbrs)) != len(nbrs):
+        listed = set(nbrs)
+        if len(listed) != len(nbrs):
             raise ParseError(f"node {v} lists a neighbour twice", lineno)
-        for u in nbrs:
-            if not 0 <= u < n:
-                raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
+        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n or v in listed):
+            u = next(u for u in nbrs if not 0 <= u < n or u == v)
             if u == v:
                 raise ParseError(f"self-loop at node {v}", lineno)
+            raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
         orders[v] = nbrs
         node_line[v] = lineno
     try:
         g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
     except KeyError as exc:
-        u, v = divmod(exc.args[0], n)
+        v, u = exc.args
         raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v]) from None
     if g.num_edges != m:
         raise ParseError(f"header claims {m} edges, node lines give {g.num_edges}", header_line)

@@ -2,7 +2,9 @@
 
 Time steps are 1-based; step 1 is odd. A message sent at step t through
 port j of node v is delivered at step t+1 on the reciprocal port of the
-neighbour. Every send is recorded in a transcript.
+neighbour. Every send is recorded in a transcript, as four slots of one flat
+tuple: step, sender, sender port and kind text. `Transcript.entries` builds
+one `TranscriptEntry` per send from it, when something first reads it.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
 reports it. The engine steps only the nodes with a message in flight: step 1
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
@@ -26,6 +29,9 @@ from .errors import AnalysisFault, ProtocolFault
 from .graph import PortGraph, _rows
 
 PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
+# kind text -> its `Msg`, and -> the one copy of the text that parsed kinds share
+_MSG = {m.value: m for m in Msg}
+_KIND_TEXT = {m.value: m.value for m in Msg}
 
 
 class TranscriptEntry(NamedTuple):
@@ -37,11 +43,17 @@ class TranscriptEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """Complete record of a run: every send, plus the final node states."""
+    """Every send as (step, sender, sender port, kind text) in `flat`, plus the
+    final node states."""
 
-    entries: tuple[TranscriptEntry, ...]
+    flat: tuple[int | str, ...]
     final_states: tuple[NodeState, ...]
     last_active_step: int
+
+    @cached_property
+    def entries(self) -> tuple[TranscriptEntry, ...]:
+        f = self.flat
+        return tuple(map(TranscriptEntry, f[0::4], f[1::4], f[2::4], map(_MSG.__getitem__, f[3::4])))
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,8 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     i = [0] * n
     c = [False] * n
     horizon = horizon_for(g)
-    entries: list[TranscriptEntry] = []
-    append = entries.append
+    flat: list[int | str] = []
+    extend = flat.extend
     last_active = 0
     # deliveries for the current step: (port, response) pairs at odd steps,
     # proposal ports at even steps, each list in arrival order
@@ -85,7 +97,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     proposers: range | list[int] = range(n)  # step 1 scans every node
 
     for t in range(1, horizon + 1):
-        sent = len(entries)
+        sent = len(flat)
         if t % 2:
             visit = proposers
             if responses and not responses.keys() <= set(proposers):
@@ -112,7 +124,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
                 i[v] = iv
                 if iv <= deg[v]:
                     proposers.append(v)
-                    append(TranscriptEntry(t, v, iv, PROPOSE))
+                    extend((t, v, iv, "propose"))
                     u, k = ports[v][iv - 1]
                     proposals[u].append(k)
         else:
@@ -126,14 +138,15 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
                 for port in box:
                     if b[v]:
                         msg = REJECT
+                        extend((t, v, port, "reject"))
                     else:
                         b[v] = port
                         c[v] = True
                         msg = ACCEPT
-                    append(TranscriptEntry(t, v, port, msg))
+                        extend((t, v, port, "accept"))
                     u, k = ports[v][port - 1]
                     responses[u].append((k, msg))
-        if len(entries) == sent:
+        if len(flat) == sent:
             break
         last_active = t
 
@@ -146,7 +159,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     cover = frozenset(v for v in range(n) if c[v])
     pair_edges = pair_edges_from_states(g, states)
     result = CoverResult(cover, pair_edges, horizon, last_active)
-    transcript = Transcript(tuple(entries), states, last_active)
+    transcript = Transcript(tuple(flat), states, last_active)
     return result, transcript
 
 
@@ -187,41 +200,46 @@ def pair_edges_from_states(
 # ---------------------------------------------------------------------------
 
 def format_transcript(t: Transcript) -> str:
-    """One `t v port kind` line per entry, in the order given.
-
-    `run` emits its entries in (t, v, port) order, so its transcript is
-    written in that order.
-    """
-    lines = [f"{e.time_step} {e.sender} {e.sender_port} {e.kind.value}" for e in t.entries]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One `t v port kind` line per send, in the order of `t.flat`: the
+    (t, v, port) order in which `run` emits them."""
+    return ("%d %d %d %s\n" * (len(t.flat) // 4)) % t.flat
 
 
-def parse_transcript(text: str) -> tuple[TranscriptEntry, ...]:
-    entries = []
-    for lineno, tokens in _rows(text):
+def parse_transcript(text: str) -> tuple[int | str, ...]:
+    """Inverse of `format_transcript`, in the flat form. The first line that
+    is not `t v port kind`, with integers and a known kind, is refused."""
+    flat: list[int | str] = []
+    for _, tokens in _rows(text):
+        if len(tokens) != 4:
+            break
+        flat += tokens
+    else:
+        try:
+            for slot in (0, 1, 2):
+                flat[slot::4] = map(int, flat[slot::4])
+            flat[3::4] = map(_KIND_TEXT.__getitem__, flat[3::4])
+            return tuple(flat)
+        except (KeyError, ValueError):
+            pass
+    for lineno, tokens in _rows(text):  # name the first malformed line
         if len(tokens) != 4:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
         try:
-            step, v, port = int(tokens[0]), int(tokens[1]), int(tokens[2])
-            kind = Msg(tokens[3])
+            int(tokens[0]), int(tokens[1]), int(tokens[2]), Msg(tokens[3])
         except ValueError:
             raise ProtocolFault(f"transcript line {lineno}: malformed entry") from None
-        entries.append(TranscriptEntry(step, v, port, kind))
-    return tuple(entries)
+    raise AssertionError("no malformed transcript line")
 
 
-def _entry_counts(entries) -> Counter[tuple[int, int, int, str]]:
-    return Counter((e.time_step, e.sender, e.sender_port, e.kind.value) for e in entries)
-
-
-def replay(g: PortGraph, t: Transcript | tuple[TranscriptEntry, ...]) -> list[str]:
-    """Re-derive a transcript from scratch and report every divergence."""
+def replay(g: PortGraph, t: Transcript | tuple[int | str, ...]) -> list[str]:
+    """Re-derive a transcript from scratch and report every divergence from
+    `t`, a transcript or its flat form."""
     _, fresh = run(g)
-    entries = t.entries if isinstance(t, Transcript) else t
+    flat = t.flat if isinstance(t, Transcript) else t
     violations = []
-    if entries != fresh.entries:  # a differing order alone is no violation
-        claimed = _entry_counts(entries)
-        derived = _entry_counts(fresh.entries)
+    if flat != fresh.flat:  # a differing order alone is no violation
+        claimed, derived = (
+            Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, fresh.flat))
         for entry in sorted((claimed - derived).elements()):
             violations.append(f"claimed entry not derivable: {entry}")
         for entry in sorted((derived - claimed).elements()):

@@ -4,7 +4,13 @@ It runs every step of the 2*delta+1 horizon plus `extra_steps`, calls
 `odd_step` on every node that is not permanently quiescent and `even_step`
 on every receiver, and can keep a snapshot of all node states after each
 step. It is the executable specification the frontier engine in
-`portvc.simulator.run` is checked against.
+`portvc.simulator.run` is checked against. It records its sends as
+`TranscriptEntry`s and `flatten` turns them into the flat form a
+`Transcript` holds; tests build forged transcripts the same way.
+
+`reference_format_transcript` and `reference_parse_transcript` are the
+text writer and reader that worked one `TranscriptEntry` per line; the flat
+`format_transcript` and `parse_transcript` are checked against them.
 """
 from __future__ import annotations
 
@@ -18,6 +24,34 @@ from portvc.simulator import (
     horizon_for,
     pair_edges_from_states,
 )
+
+
+def flatten(entries) -> tuple[int | str, ...]:
+    """The flat form of `TranscriptEntry`s: step, sender, port, kind text."""
+    return tuple(x for e in entries for x in (e.time_step, e.sender, e.sender_port, e.kind.value))
+
+
+def reference_format_transcript(entries) -> str:
+    lines = [f"{e.time_step} {e.sender} {e.sender_port} {e.kind.value}" for e in entries]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_parse_transcript(text: str) -> tuple[TranscriptEntry, ...]:
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 4:
+            raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
+        try:
+            step, v, port = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            kind = Msg(tokens[3])
+        except ValueError:
+            raise ProtocolFault(f"transcript line {lineno}: malformed entry") from None
+        entries.append(TranscriptEntry(step, v, port, kind))
+    return tuple(entries)
 
 
 def reference_run(
@@ -77,5 +111,5 @@ def reference_run(
     cover = frozenset(v for v in range(n) if states[v].c)
     pair_edges = pair_edges_from_states(g, states)
     result = CoverResult(cover, pair_edges, steps, last_active)
-    transcript = Transcript(tuple(entries), tuple(states), last_active)
+    transcript = Transcript(flatten(entries), tuple(states), last_active)
     return result, transcript, history

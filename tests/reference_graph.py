@@ -1,8 +1,10 @@
 """Reference graph-layer code: the quadratic-time derivations `src/` replaced.
 
 `reference_parse` checks reciprocity by scanning neighbour lists, O(Σd²),
-and derives ports through a tuple-keyed dict. `reference_check_cover` and
-`reference_double_cover_edges` read the graph through `edge_set()`.
+and derives ports through a tuple-keyed dict, one entry per port, as do
+`reference_from_edge_list` and `reference_permute_ports`.
+`reference_check_cover` and `reference_double_cover_edges` read the graph
+through `edge_set()`.
 `reference_random_bounded_edges` shuffles all C(n,2) pairs and keeps each
 with probability p. They are the specifications the linear-time code in
 `portvc.graph`, `portvc.analysis` and `portvc.double_cover` is checked
@@ -25,6 +27,34 @@ def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
         tuple((u, port_of[(u, v)]) for u in nbrs) for v, nbrs in enumerate(orders)
     )
     return PortGraph(node_count, ports)
+
+
+def reference_from_edge_list(
+    el: EdgeList, policy: str = "sorted", seed: int | None = None
+) -> PortGraph:
+    orders: list[list[int]] = [[] for _ in range(el.node_count)]
+    for u, v in el.edges:
+        orders[u].append(v)
+        orders[v].append(u)
+    if policy == "sorted":
+        for nbrs in orders:
+            nbrs.sort()
+    elif policy == "random":
+        rng = random.Random(seed)
+        for nbrs in orders:
+            nbrs.sort()
+            rng.shuffle(nbrs)
+    return _from_neighbour_orders(el.node_count, orders)
+
+
+def reference_permute_ports(g: PortGraph, seed: int) -> PortGraph:
+    rng = random.Random(seed)
+    orders = []
+    for v in range(g.node_count):
+        nbrs = [u for u, _ in g.ports[v]]
+        rng.shuffle(nbrs)
+        orders.append(nbrs)
+    return _from_neighbour_orders(g.node_count, orders)
 
 
 def _int_tokens(tokens: list[str], line: int) -> list[int]:

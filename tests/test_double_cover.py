@@ -19,6 +19,7 @@ from portvc import (
 from portvc.simulator import TranscriptEntry
 
 from conftest import clique, cycle, k2, star
+from reference_engine import flatten
 
 
 class TestBuildDoubleCover:
@@ -98,7 +99,7 @@ class TestExtractMatching:
         _, tr = run(g)
         forged = tr.entries + (TranscriptEntry(4, 0, 2, Msg.ACCEPT),)
         with pytest.raises(AnalysisFault, match="matched twice"):
-            extract_matching(build_double_cover(g), forged)
+            extract_matching(build_double_cover(g), flatten(forged))
 
     def test_dropped_accept_breaks_maximality(self):
         g = k2()
@@ -109,14 +110,14 @@ class TestExtractMatching:
         # B(0) and W(1) stay matched; the first port entry in (v, port)
         # order with neither copy matched is (1 -> 0), the copy edge (1, 2)
         with pytest.raises(AnalysisFault, match=r"not maximal: edge \(1, 2\) has no"):
-            extract_matching(build_double_cover(g), pruned)
+            extract_matching(build_double_cover(g), flatten(pruned))
 
     def test_accept_on_unreciprocated_port_is_a_fault(self):
         # port 1 of node 0 leads to node 1, whose port 1 leads on to node 2
         g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
         accept = (TranscriptEntry(2, 0, 1, Msg.ACCEPT),)
         with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
-            extract_matching(build_double_cover(g), accept)
+            extract_matching(build_double_cover(g), flatten(accept))
 
     @pytest.mark.parametrize("sender,port", [(9, 1), (0, 5), (0, 0), (-1, 1)])
     def test_forged_accept_off_the_port_table_is_a_fault(self, sender, port):
@@ -129,7 +130,41 @@ class TestExtractMatching:
         with pytest.raises(
             AnalysisFault, match=rf"^accept at step 4 from node {sender} names no port {port}$"
         ):
-            extract_matching(build_double_cover(g), forged)
+            extract_matching(build_double_cover(g), flatten(forged))
+
+
+class TestFlatFaults:
+    """Each `extract_matching` fault, from a transcript in the flat form:
+    four slots per send, step, sender, sender port and kind text."""
+
+    def test_accept_names_no_port(self):
+        with pytest.raises(AnalysisFault, match=r"^accept at step 2 from node 0 names no port 5$"):
+            extract_matching(build_double_cover(k2()), (2, 0, 5, "accept"))
+
+    def test_accept_maps_to_non_edge(self):
+        g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
+        with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
+            extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
+
+    def test_black_copy_matched_twice(self):
+        # leaves 1 and 2 both accept the centre's proposal: B(0) twice
+        flat = (2, 1, 1, "accept", 2, 2, 1, "accept")
+        with pytest.raises(AnalysisFault, match=r"^black copy of node 0 matched twice$"):
+            extract_matching(build_double_cover(star(3)), flat)
+
+    def test_white_copy_matched_twice(self):
+        # the centre accepts on ports 1 and 2: W(0) twice
+        flat = (2, 0, 1, "accept", 2, 0, 2, "accept")
+        with pytest.raises(AnalysisFault, match=r"^white copy of node 0 matched twice$"):
+            extract_matching(build_double_cover(star(3)), flat)
+
+    def test_matching_not_maximal(self):
+        # proposals and rejects match nothing
+        flat = (1, 0, 1, "propose", 2, 1, 1, "reject")
+        with pytest.raises(
+            AnalysisFault, match=r"^matching not maximal: edge \(0, 3\) has no matched endpoint$"
+        ):
+            extract_matching(build_double_cover(k2()), flat)
 
 
 class TestProjection:

@@ -22,6 +22,7 @@ from portvc.simulator import TranscriptEntry
 
 from conftest import g_from_pairs, load_corpus
 from reference_double_cover import reference_copy_edges, reference_extract_matching
+from reference_engine import flatten
 from test_properties import port_graphs
 
 NOT_MAXIMAL = re.compile(r"matching not maximal: edge \((\d+), (\d+)\) has no matched endpoint")
@@ -49,7 +50,9 @@ def _first_unmatched_entry(g: PortGraph, entries) -> tuple[int, int]:
 
 
 def _assert_same_matching(g: PortGraph, entries) -> None:
-    got = _outcome(lambda g, t: extract_matching(build_double_cover(g), t).matching, g, entries)
+    got = _outcome(
+        lambda g, t: extract_matching(build_double_cover(g), flatten(t)).matching, g, entries
+    )
     want = _outcome(reference_extract_matching, g, entries)
     if isinstance(want, str) and NOT_MAXIMAL.fullmatch(want):
         named = NOT_MAXIMAL.fullmatch(got)

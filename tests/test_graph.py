@@ -151,6 +151,20 @@ class TestGenerators:
     def test_clique_counts(self):
         assert len(clique_edges(5).edges) == 10
 
+    @pytest.mark.parametrize("make,pairs", [
+        (cycle_edges, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+        (path_edges, lambda n: [(i, i + 1) for i in range(n - 1)]),
+        (clique_edges, lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]),
+        (star_edges, lambda n: [(0, i) for i in range(1, n + 1)]),
+    ])
+    @pytest.mark.parametrize("n", [3, 4, 7, 40])
+    def test_built_as_from_pairs_builds_them(self, make, pairs, n):
+        """Each kind builds its `EdgeList` without `from_pairs`: the edges are
+        normalized, distinct and in the order `from_pairs` gives its pairs."""
+        el = make(n)
+        assert el == EdgeList.from_pairs(el.node_count, el.edges)
+        assert el == EdgeList.from_pairs(el.node_count, pairs(n))
+
     def test_cycle_too_small(self):
         with pytest.raises(GraphError):
             cycle_edges(2)

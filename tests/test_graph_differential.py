@@ -4,7 +4,9 @@
 raise a `ParseError` with the same message and line, on valid `.pg` texts,
 on perturbed ones and on arbitrary text. Both parsers must never raise
 anything but `ParseError`. `check_cover` and the double-cover edges must
-agree with their `edge_set()`-based references. `random_bounded_edges` must
+agree with their `edge_set()`-based references. `from_edge_list`, under
+each numbering policy, and `permute_ports` must derive the same reciprocal
+ports as the tuple-keyed dict of the reference. `random_bounded_edges` must
 draw from the same distribution as `reference_random_bounded_edges`, and
 its edges must pass the checks of `EdgeList.from_pairs` unchanged.
 """
@@ -22,6 +24,7 @@ from portvc import (
     ParseError,
     build_double_cover,
     check_cover,
+    from_edge_list,
     parse,
     parse_edge_list,
     permute_ports,
@@ -32,11 +35,13 @@ from portvc.graph import random_bounded_edges
 from reference_graph import (
     reference_check_cover,
     reference_double_cover_edges,
+    reference_from_edge_list,
     reference_parse,
+    reference_permute_ports,
     reference_random_bounded_edges,
 )
 from test_engine_differential import port_tables
-from test_properties import port_graphs
+from test_properties import edge_lists, port_graphs
 
 
 def _outcome(parser, text: str):
@@ -55,6 +60,14 @@ def test_round_trip(g, seed):
     for h in (g, permute_ports(g, seed)):
         assert parse(serialize(h)) == h
         _assert_same_parse(serialize(h))
+
+
+@given(edge_lists(max_n=12), st.integers(min_value=0, max_value=2**32))
+def test_reciprocal_ports_match_reference(el, seed):
+    for policy in ("sorted", "input", "random"):
+        g = from_edge_list(el, policy, seed)
+        assert g == reference_from_edge_list(el, policy, seed)
+        assert permute_ports(g, seed) == reference_permute_ports(g, seed)
 
 
 # neighbour edits are listed twice: they are what reaches the reciprocity check

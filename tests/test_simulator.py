@@ -13,7 +13,7 @@ from portvc.simulator import (
 )
 
 from conftest import consistent_cycle, cycle, g_from_pairs, k2, path, star
-from reference_engine import reference_run
+from reference_engine import flatten, reference_run
 
 
 class TestRun:
@@ -118,7 +118,7 @@ class TestTranscriptText:
     def test_round_trip(self):
         _, tr = run(star(3))
         text = format_transcript(tr)
-        assert parse_transcript(text) == tuple(
+        assert parse_transcript(text) == flatten(
             sorted(tr.entries, key=lambda e: (e.time_step, e.sender, e.sender_port))
         )
 
@@ -158,8 +158,8 @@ class TestReplay:
         _, tr = run(g)
         shuffled = tuple(reversed(tr.entries))
         assert shuffled != tr.entries
-        assert replay(g, shuffled) == []
-        assert replay(g, dataclasses.replace(tr, entries=shuffled)) == []
+        assert replay(g, flatten(shuffled)) == []
+        assert replay(g, dataclasses.replace(tr, flat=flatten(shuffled))) == []
 
     def test_flipped_entry_detected(self):
         g = k2()
@@ -169,7 +169,7 @@ class TestReplay:
                             Msg.REJECT if e.kind is Msg.ACCEPT and e.sender == 0 else e.kind)
             for e in tr.entries
         )
-        violations = replay(g, corrupted)
+        violations = replay(g, flatten(corrupted))
         assert any("not derivable" in v for v in violations)
         assert any("missing" in v for v in violations)
 

@@ -1,0 +1,119 @@
+"""Differential tests for the flat transcript text format.
+
+`format_transcript` writes the flat form with one `%` format and
+`parse_transcript` reads it back in that form; `reference_format_transcript`
+and `reference_parse_transcript` work one `TranscriptEntry` per line. On
+the corpus and on Hypothesis graphs the written texts must be
+byte-identical. On perturbed texts (wrong token counts, non-integers,
+unknown kinds, comment and blank lines, CRLF line ends) both readers must
+give the same entries or raise a `ProtocolFault` with the same message.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from portvc import ProtocolFault, run
+from portvc.simulator import format_transcript, parse_transcript
+
+from conftest import g_from_pairs, load_corpus
+from reference_engine import flatten, reference_format_transcript, reference_parse_transcript
+from test_properties import port_graphs
+
+
+def _outcome(parser, text: str):
+    try:
+        return parser(text)
+    except ProtocolFault as exc:
+        return str(exc)
+
+
+def _assert_same_parse(text: str) -> None:
+    got = _outcome(parse_transcript, text)
+    want = _outcome(reference_parse_transcript, text)
+    assert got == (want if isinstance(want, str) else flatten(want))
+
+
+def _assert_same_text(g) -> None:
+    _, tr = run(g)
+    text = format_transcript(tr)
+    assert text == reference_format_transcript(tr.entries)
+    assert parse_transcript(text) == tr.flat
+    _assert_same_parse(text)
+
+
+def test_corpus_matches_reference():
+    checked = 0
+    for index, (n, pairs) in enumerate(load_corpus()):
+        _assert_same_text(g_from_pairs(n, pairs, "random", index))
+        checked += 1
+    assert checked == 12113
+
+
+@given(port_graphs())
+def test_random_graphs_match_reference(g):
+    _assert_same_text(g)
+
+
+BAD_TOKENS = ("x", "1.5", "", "+3", "-1", "0x1", "1_0", "٣", "Propose", "offer", "accept,", "#")
+PERTURBATIONS = (
+    "drop-token", "add-token", "replace-token", "comment-line", "blank-line",
+    "indent", "crlf", "drop-line",
+)
+
+
+@st.composite
+def perturbed_transcript_texts(draw):
+    """The text of a genuine run with one to four perturbations applied."""
+    g = draw(port_graphs(max_n=7))
+    lines = format_transcript(run(g)[1]).splitlines()
+    crlf = False
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        op = draw(st.sampled_from(PERTURBATIONS))
+        i = draw(st.integers(min_value=0, max_value=len(lines)))
+        if op == "comment-line":
+            lines.insert(i, draw(st.sampled_from(["#", "# 1 0 1 propose", "  #x", "#1 0 1 offer"])))
+            continue
+        if op == "blank-line":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if op == "crlf":
+            crlf = True
+            continue
+        if not lines or i == len(lines):
+            continue
+        tokens = lines[i].split()
+        if op == "drop-token" and tokens:
+            del tokens[draw(st.integers(min_value=0, max_value=len(tokens) - 1))]
+        elif op == "add-token":
+            tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))),
+                          draw(st.sampled_from(("1", "propose", "x"))))
+        elif op == "replace-token" and tokens:
+            tokens[draw(st.integers(min_value=0, max_value=len(tokens) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS))
+        elif op == "indent":
+            lines[i] = " \t" + lines[i]
+            continue
+        elif op == "drop-line":
+            del lines[i]
+            continue
+        lines[i] = " ".join(tokens)
+    end = "\r\n" if crlf else "\n"
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@given(perturbed_transcript_texts())
+@settings(max_examples=1000)
+def test_perturbed_texts_parse_like_reference(text):
+    _assert_same_parse(text)
+
+
+TRANSCRIPT_LIKE = st.lists(
+    st.sampled_from([*"0123456789 -\n\r#\tx", "propose", "accept", "reject"]), max_size=40
+).map("".join)
+
+
+@given(st.one_of(TRANSCRIPT_LIKE, st.text(max_size=40)))
+@settings(max_examples=1000)
+def test_arbitrary_text_parses_like_reference(text):
+    _assert_same_parse(text)
