@@ -1,4 +1,4 @@
-"""Structural analysis of a run: pair graphs, decomposition, certificate.
+"""Structural analysis of a run: pair symmetry, pair graphs, certificate.
 
 The pair edges of a run induce a subgraph of maximum degree 2 whose
 non-isolated nodes are exactly the cover; its components are paths and
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algorithm import NodeState
 from .errors import AnalysisFault
 from .graph import PortGraph
 from .simulator import CoverResult
@@ -51,6 +52,22 @@ def check_cover(g: PortGraph, cover) -> bool:
     """True iff every node outside `cover` has all its neighbours in it."""
     cover = set(cover)
     return all(u in cover for v, es in enumerate(g.ports) if v not in cover for u, _ in es)
+
+
+def check_pair_symmetry(g: PortGraph, states: tuple[NodeState, ...]) -> bool:
+    """True iff each node's accepted proposal (port `a`) reaches a node whose
+    accepted incoming proposal (port `b`) leads back; else `AnalysisFault`."""
+    for v, st in enumerate(states):
+        if st.a is None:
+            continue
+        u = g.ports[v][st.a - 1][0]
+        b = states[u].b if 0 <= u < g.node_count else None
+        if b is None or g.ports[u][b - 1][0] != v:
+            raise AnalysisFault(
+                f"pair symmetry violated: node {v} accepted via port {st.a} to "
+                f"node {u}, whose b={b} does not lead back"
+            )
+    return True
 
 
 def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:

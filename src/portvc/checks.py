@@ -6,10 +6,9 @@ skipped. The nine names, in report order, are `CHECK_NAMES`. The three
 pair-graph checks (`g1-max-degree-2`, `g1-nonisolated-equals-C`,
 `components-paths-or-cycles`) share one layer, `build_pair_graphs`, so they
 fail together, and `certified-ratio-le-3` fails with them because the
-certificate is computed from the pair graph. A failed check still yields a
-full report (`vc` prints it and exits 3). Pair symmetry is asserted inside
-`simulator.run`, so its fault aborts the analysis: `vc` exits 3 with no
-report.
+certificate is computed from the pair graph. Pair symmetry is a verdict
+like the others. A failed check still yields a full report (`vc` prints it
+and exits 3); only a `ProtocolFault` from the engine ends `vc` with no report.
 """
 from __future__ import annotations
 
@@ -64,9 +63,7 @@ def analyze(g: PortGraph) -> RunAnalysis:
     h = _or_none(double_cover.extract_matching, double_cover.build_double_cover(g), transcript)
     checks = {
         "cover-valid": analysis.check_cover(g, result.cover),
-        # asserted during pair extraction inside run(); a violation there
-        # aborts the whole analysis (AnalysisFault propagates)
-        "pair-symmetry": True,
+        "pair-symmetry": bool(_or_none(analysis.check_pair_symmetry, g, transcript.final_states)),
         "g1-max-degree-2": pair_graph is not None,
         "g1-nonisolated-equals-C": pair_graph is not None,
         "components-paths-or-cycles": pair_graph is not None,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import graph, oracle, simulator
 from .checks import analyze
-from .errors import AnalysisFault, GraphError, OracleRefusal, ParseError, ProtocolFault
+from .errors import GraphError, OracleRefusal, ParseError, ProtocolFault
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleRefusal as exc:
         print(f"oracle refusal: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (AnalysisFault, ProtocolFault) as exc:
+    except ProtocolFault as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except GraphError as exc:

@@ -51,8 +51,8 @@ def solve(g: PortGraph, node_limit: int = 10_000_000, cap: int = DEFAULT_CAP) ->
 
     Branches on an uncovered edge {u, v}: either u joins the cover, or u is
     excluded, forcing all of u's neighbours in. Pruned by the incumbent and
-    a greedy-matching lower bound. Refuses instances over `cap` nodes or
-    searches over `node_limit` tree nodes.
+    a greedy-matching lower bound. Refuses instances over `cap` nodes, and
+    searches over `node_limit` tree nodes or deeper than the recursion limit.
     """
     n = g.node_count
     if n > cap:
@@ -62,7 +62,12 @@ def solve(g: PortGraph, node_limit: int = 10_000_000, cap: int = DEFAULT_CAP) ->
         return OracleResult(0, frozenset(), 1)
 
     search = _Search(edges, adj, n, node_limit)
-    search.recurse(set())
+    try:
+        search.recurse(set())
+    except RecursionError:  # about one level per cover node
+        raise OracleRefusal(
+            f"search on {n} nodes nests past the recursion limit; use the certificate"
+        ) from None
     return OracleResult(search.best_size, frozenset(search.best_cover), search.explored)
 
 

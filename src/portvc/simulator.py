@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
-from .errors import AnalysisFault, ProtocolFault
+from .errors import ProtocolFault
 from .graph import PortGraph, _rows
 
 PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
@@ -157,7 +157,9 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
         for key in zip(deg, a, b, i, c)
     )
     cover = frozenset(v for v in range(n) if c[v])
-    pair_edges = pair_edges_from_states(g, states)
+    # v's accepted proposal went to the neighbour behind port a[v]
+    partners = ((v, ports[v][a[v] - 1][0]) for v in range(n) if a[v])
+    pair_edges = frozenset((v, u) if v < u else (u, v) for v, u in partners)
     result = CoverResult(cover, pair_edges, horizon, last_active)
     transcript = Transcript(tuple(flat), states, last_active)
     return result, transcript
@@ -170,29 +172,6 @@ def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
     except ProtocolFault as exc:
         raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
     raise AssertionError(f"step {t}, node {v}: {transition.__name__} accepted {inbox!r}")
-
-
-def pair_edges_from_states(
-    g: PortGraph, states: list[NodeState] | tuple[NodeState, ...]
-) -> frozenset[tuple[int, int]]:
-    """Edges {u, v} where v's accepted proposal points to u and back.
-
-    The back-pointer (b of the partner leading to the proposer) is checked,
-    never assumed; a mismatch falsifies the protocol's pairing guarantee.
-    """
-    pairs: set[tuple[int, int]] = set()
-    for v, st in enumerate(states):
-        if st.a is None:
-            continue
-        u, _ = g.ports[v][st.a - 1]
-        su = states[u]
-        if su.b is None or g.ports[u][su.b - 1][0] != v:
-            raise AnalysisFault(
-                f"pair symmetry violated: node {v} accepted via port {st.a} to "
-                f"node {u}, whose b={su.b} does not lead back"
-            )
-        pairs.add((v, u) if v < u else (u, v))
-    return frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from portvc.simulator import (
     Transcript,
     TranscriptEntry,
     horizon_for,
-    pair_edges_from_states,
 )
 
 
@@ -109,7 +108,9 @@ def reference_run(
             history.append(tuple(states))
 
     cover = frozenset(v for v in range(n) if states[v].c)
-    pair_edges = pair_edges_from_states(g, states)
+    # as in `run`: v's accepted proposal went to the neighbour behind port a
+    partners = ((v, g.ports[v][st.a - 1][0]) for v, st in enumerate(states) if st.a)
+    pair_edges = frozenset((v, u) if v < u else (u, v) for v, u in partners)
     result = CoverResult(cover, pair_edges, steps, last_active)
     transcript = Transcript(flatten(entries), tuple(states), last_active)
     return result, transcript, history

@@ -5,13 +5,14 @@ import pytest
 from portvc import (
     AnalysisFault,
     EdgeList,
+    PortGraph,
     build_pair_graphs,
     certify,
     check_cover,
     from_edge_list,
     run,
 )
-from portvc.analysis import CYCLE, PATH, Component, PairGraph
+from portvc.analysis import CYCLE, PATH, Component, PairGraph, check_pair_symmetry
 from portvc.simulator import CoverResult
 
 from conftest import consistent_cycle, cycle, k2, star
@@ -32,6 +33,21 @@ class TestCheckCover:
     def test_empty_graph_covered_by_empty_set(self):
         g = from_edge_list(EdgeList.from_pairs(3, []))
         assert check_cover(g, set())
+
+
+class TestCheckPairSymmetry:
+    @pytest.mark.parametrize("g", [k2(), star(3), cycle(5), consistent_cycle(6)])
+    def test_genuine_run_is_symmetric(self, g):
+        assert check_pair_symmetry(g, run(g)[1].final_states) is True
+
+    def test_partner_that_is_no_node_is_a_fault(self):
+        # node 0's port 1 names node -1: by index that is node 1, which
+        # accepts and answers, so the run pairs node 0 with a node that is
+        # not there
+        g = PortGraph(2, (((-1, 1),), ((0, 1),)))
+        with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 accepted via "
+                           r"port 1 to node -1, whose b=None does not lead back$"):
+            check_pair_symmetry(g, run(g)[1].final_states)
 
 
 class TestBuildPairGraphs:

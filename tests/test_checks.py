@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from portvc import analysis, double_cover, simulator
+from portvc import PortGraph, analysis, double_cover, run, simulator
 from portvc.checks import CHECK_NAMES, analyze
 from portvc.errors import AnalysisFault
 
@@ -62,6 +62,8 @@ CASES = {
     "project_matching_edges-wrong": (double_cover, "project_matching_edges", _no_edges,
                                      {"projection-equals-cover"}, False, False),
     "check_cover-false": (analysis, "check_cover", _cover_invalid, {"cover-valid"}, False, False),
+    "check_pair_symmetry-raises": (analysis, "check_pair_symmetry", _raises, {"pair-symmetry"},
+                                   False, False),
     "run-past-2-delta": (simulator, "run", _late_last_step, {"round-bound"}, False, False),
 }
 
@@ -85,8 +87,14 @@ def test_one_faulty_layer_fails_exactly_its_checks(monkeypatch, case):
     assert (ra.pair_graph is None, ra.certificate is None) == (no_pair_graph, no_certificate)
 
 
-def test_pair_symmetry_fault_aborts_the_analysis(monkeypatch):
-    # `run` asserts pair symmetry itself, so its fault reaches the caller
-    monkeypatch.setattr(simulator, "pair_edges_from_states", _raises(None))
-    with pytest.raises(AnalysisFault, match="injected"):
-        analyze(petersen())
+def test_directed_triangle_yields_a_full_report():
+    # each node's port leads on to the next node, never back: every proposal
+    # is accepted, but no accepted proposal is answered by its partner's b
+    g = PortGraph(3, (((1, 1),), ((2, 1),), ((0, 1),)))
+    with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 accepted via "
+                       r"port 1 to node 1, whose b=1 does not lead back$"):
+        analysis.check_pair_symmetry(g, run(g)[1].final_states)
+    ra = analyze(g)
+    assert tuple(ra.checks) == CHECK_NAMES
+    assert ra.checks["pair-symmetry"] is False
+    assert {check for check, ok in ra.checks.items() if ok} == {"cover-valid", "round-bound"}

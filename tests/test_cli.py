@@ -17,7 +17,7 @@ from portvc.cli import (
     build_parser,
     main,
 )
-from portvc.errors import AnalysisFault
+from portvc.errors import AnalysisFault, ProtocolFault
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +219,14 @@ class TestOracle:
         assert code == EXIT_ORACLE
         assert "oracle refusal" in err
 
+    def test_search_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
+        p = str(tmp_path / "p.el")
+        run_cli(capsys, "gen", "path", "3000", "-o", p)
+        code, out, err = run_cli(capsys, "oracle", "--input", p, "--cap", "5000")
+        assert (code, out) == (EXIT_ORACLE, "")
+        assert err == ("oracle refusal: search on 3000 nodes nests past the recursion limit; "
+                       "use the certificate\n")
+
 
 class TestSweep:
     def test_k2_no_port_freedom(self, capsys, k2_el):
@@ -292,20 +300,27 @@ class TestVerify:
 
 class TestFailingChecks:
     def test_failed_check_still_prints_the_full_report(self, capsys, monkeypatch, star3_el):
+        def one_sided_pairing(g, states):
+            raise AnalysisFault("pair symmetry violated: injected")
         _, passing, _ = run_cli(capsys, "run", "--input", star3_el)
-        monkeypatch.setattr(analysis, "check_cover", lambda g, cover: False)
-        code, out, err = run_cli(capsys, "run", "--input", star3_el)
-        expected = json.loads(passing)
-        expected["checks"]["cover-valid"] = "fail"
-        assert (code, json.loads(out), err) == (EXIT_INVARIANT, expected, "")
+        for layer, replacement, check in [
+            ("check_cover", lambda g, cover: False, "cover-valid"),
+            ("check_pair_symmetry", one_sided_pairing, "pair-symmetry"),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, layer, replacement)
+                code, out, err = run_cli(capsys, "run", "--input", star3_el)
+            expected = json.loads(passing)
+            expected["checks"][check] = "fail"
+            assert (code, json.loads(out), err) == (EXIT_INVARIANT, expected, "")
 
     def test_fault_inside_run_prints_no_report(self, capsys, monkeypatch, star3_el):
-        def fault(g, states):
-            raise AnalysisFault("pair symmetry violated: injected")
-        monkeypatch.setattr(simulator, "pair_edges_from_states", fault)
+        def fault(g):
+            raise ProtocolFault("step 2, node 0: injected")
+        monkeypatch.setattr(simulator, "run", fault)
         code, out, err = run_cli(capsys, "run", "--input", star3_el)
         assert (code, out) == (EXIT_INVARIANT, "")
-        assert err == "invariant violation: pair symmetry violated: injected\n"
+        assert err == "invariant violation: step 2, node 0: injected\n"
 
     def test_sweep_names_the_first_failing_seed(self, capsys, monkeypatch, star3_el):
         calls = iter(range(5))

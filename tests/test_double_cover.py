@@ -146,6 +146,15 @@ class TestFlatFaults:
         with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
             extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
 
+    @pytest.mark.parametrize("u", [3, -1])
+    def test_accept_answered_from_no_node(self, u):
+        # port 1 of node 0 names node u, which does not exist: never an
+        # `IndexError`, and never wrapped round by -1 to node 2, whose port 1
+        # leads back to node 0
+        g = PortGraph(3, (((u, 1),), ((2, 1),), ((0, 1),)))
+        with pytest.raises(AnalysisFault, match=rf"^accepted proposal maps to non-edge \({u}, 3\)$"):
+            extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
+
     def test_black_copy_matched_twice(self):
         # leaves 1 and 2 both accept the centre's proposal: B(0) twice
         flat = (2, 1, 1, "accept", 2, 2, 1, "accept")

@@ -4,17 +4,19 @@ On valid graphs the two must agree on every field of the result and the
 transcript, entry order included, and `run`'s entries must come in
 (t, sender, port) order. On malformed port tables (not reciprocal,
 out of range or not simple) `run` must return what the reference returns or
-raise the same exception type with the same message.
+raise the same exception type with the same message, and `analyze` must
+raise only what `run` raises: its own layers turn a fault into a failed
+check.
 """
 from __future__ import annotations
 
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portvc import PortGraph, run
+from portvc import PortGraph, analyze, run
 
 from conftest import g_from_pairs, load_corpus
 from reference_engine import reference_run
@@ -27,6 +29,15 @@ def _outcome(engine, g: PortGraph):
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
     return result, transcript
+
+
+def _raised(call, g: PortGraph):
+    """The type and message of what `call(g)` raises, or None if it returns."""
+    try:
+        call(g)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def _assert_same_run(g: PortGraph) -> None:
@@ -87,3 +98,12 @@ def corrupted_port_graphs(draw):
 @settings(max_examples=500)
 def test_malformed_tables_fail_like_reference(g):
     assert _outcome(run, g) == _outcome(reference_run, g)
+
+
+@given(st.one_of(port_tables(), corrupted_port_graphs()))
+@example(PortGraph(4, (((1, 2), (4, 0), (2, 1)), ((2, 2), (0, 1)), ((0, 3), (1, 1)), ((0, 2),))))
+@settings(max_examples=500)
+def test_malformed_tables_never_crash_the_analysis(g):
+    # the example runs to the end, but node 0 sends an accept through its
+    # port 2, which names node 4 of a 4-node graph
+    assert _raised(analyze, g) == _raised(run, g)

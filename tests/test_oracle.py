@@ -38,6 +38,12 @@ class TestSolve:
         with pytest.raises(OracleRefusal, match="budget"):
             solve(g, node_limit=2)
 
+    def test_recursion_limit_refusal(self):
+        # the search nests about one level per cover node, and the default
+        # recursion limit is 1000
+        with pytest.raises(OracleRefusal, match=r"^search on 1000 nodes nests past the recursion"):
+            solve(path(1000), cap=1000)
+
 
 class TestBruteForce:
     def test_path_of_three(self):

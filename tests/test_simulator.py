@@ -173,6 +173,20 @@ class TestReplay:
         assert any("not derivable" in v for v in violations)
         assert any("missing" in v for v in violations)
 
+    def test_forged_last_active_step_detected(self):
+        g = k2()
+        _, tr = run(g)
+        forged = dataclasses.replace(tr, last_active_step=3)
+        assert forged.flat == tr.flat
+        assert replay(g, forged) == ["last_active_step mismatch: claimed 3, derived 2"]
+
+    def test_forged_final_states_detected(self):
+        g = k2()
+        _, tr = run(g)
+        # node 0 claims it never joined the cover; every entry still matches
+        states = (dataclasses.replace(tr.final_states[0], c=False),) + tr.final_states[1:]
+        assert replay(g, dataclasses.replace(tr, final_states=states)) == ["final states diverge"]
+
     def test_transcript_of_other_numbering_detected(self):
         g = g_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
         _, tr = run(g)
