@@ -42,7 +42,12 @@ CASES = {
     "path6": ("path6.el", ()),
     "clique6": ("clique6.pg", ("--format", "pg")),
     "random12": ("random12.el", ("--numbering", "input")),
+    "tight6": ("tight6.pg", ("--format", "pg")),
 }
+
+# A run that reaches the factor 3: every node joins the cover, whose optimum
+# is {4, 5}. Edges 0-4, 0-5, 1-4, 1-5, 2-4, 3-5, neighbours in port order.
+TIGHT6 = "6 6\n0 2 4 5\n1 2 5 4\n2 1 4\n3 1 5\n4 3 1 2 0\n5 3 0 3 1\n"
 
 
 def _cli(argv) -> tuple[int, str]:
@@ -101,6 +106,7 @@ def _regenerate() -> None:
         ("clique6.pg", graph.serialize(
             graph.permute_ports(graph.from_edge_list(graph.clique_edges(6)), 7))),
         ("random12.el", _cli(GEN_ARGV)[1]),
+        ("tight6.pg", TIGHT6),
     ):
         (GOLDEN / fname).write_text(text)
     for kind, size in GEN_KINDS:
