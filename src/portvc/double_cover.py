@@ -63,7 +63,7 @@ def extract_matching(h: DoubleCover, t: Transcript | tuple[int | str, ...]) -> D
             raise AnalysisFault(f"accept at step {step} from node {v} names no port {j}")
         u, k = ports[v][j - 1]
         edge = (u, v + n)
-        if not 0 <= u < n or ports[u][k - 1 : k] != ((v, j),):  # empty if k is no port of u
+        if not (0 <= u < n and 1 <= k <= len(ports[u])) or ports[u][k - 1] != (v, j):
             raise AnalysisFault(f"accepted proposal maps to non-edge {edge}")
         if black[u]:
             raise AnalysisFault(f"black copy of node {u} matched twice")

@@ -4,12 +4,15 @@ A `PortGraph` is a simple undirected graph in which every node privately
 orders its incident edges by port numbers 1..d(v). It is the single source
 of truth for topology; everything downstream (simulator, analysis, double
 cover) consumes it read-only. Parsing either text format costs O(n + m).
+An `.el` text in the form `serialize_edge_list` writes is read in one bulk
+pass; any other valid text is read line by line, with identical results.
 """
 from __future__ import annotations
 
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterable, Iterator, Sequence
@@ -37,21 +40,34 @@ class EdgeList:
 
     @classmethod
     def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]]) -> "EdgeList":
-        if node_count < 0:
-            raise GraphError(f"node_count must be non-negative, got {node_count}")
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
-        for u, v in pairs:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphError(f"node id out of range in edge {{{u}, {v}}}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"duplicate edge {{{e[0]}, {e[1]}}}")
-            seen.add(e)
-            norm.append(e)
-        return cls(node_count, tuple(norm))
+        """Normalize each pair to (low, high) and check the list as a whole:
+        node ids in 0..n-1, no self-loop, no edge twice. A refusal names the
+        first pair refused, as `_refusal` finds it."""
+        pairs = list(pairs)
+        edges = tuple([(u, v) if u < v else (v, u) for u, v in pairs])
+        low, high = zip(*edges) if edges else ((), ())
+        if (node_count < 0 or edges and (min(low) < 0 or max(high) >= node_count)
+                or any(map(operator.eq, low, high)) or len(set(edges)) < len(edges)):
+            raise GraphError(_refusal(node_count, pairs)[1])
+        return cls(node_count, edges)
+
+
+def _refusal(node_count: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, str]:
+    """(index, reason) of the first pair `EdgeList.from_pairs` refuses, with
+    index -1 when it refuses the node count."""
+    if node_count < 0:
+        return -1, f"node_count must be non-negative, got {node_count}"
+    seen: set[tuple[int, int]] = set()
+    for index, (u, v) in enumerate(pairs):
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            return index, f"node id out of range in edge {{{u}, {v}}}"
+        if u == v:
+            return index, f"self-loop at node {u}"
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return index, f"duplicate edge {{{e[0]}, {e[1]}}}"
+        seen.add(e)
+    raise AssertionError("from_pairs refused no pair")
 
 
 @dataclass(frozen=True)
@@ -70,11 +86,11 @@ class PortGraph:
 
     @property
     def max_degree(self) -> int:
-        return max((len(p) for p in self.ports), default=0)
+        return max(map(len, self.ports), default=0)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(p) for p in self.ports) // 2
+        return sum(map(len, self.ports)) // 2
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -394,8 +410,32 @@ def serialize_edge_list(el: EdgeList) -> str:
     return "\n".join(lines) + "\n"
 
 
+# `serialize_edge_list`'s form: a node count line, then `u v` lines, in ASCII
+# digits and single spaces, each ending in `\n`. The search for the first
+# newline not followed by a `u v` line keeps no state per line, unlike a
+# `fullmatch` of `(?:\d+ \d+\n)*`, which keeps one backtracking frame per line.
+_EDGE_LIST_HEADER = re.compile(r"\d+\n", re.ASCII)
+_OFF_FORM_EDGE_LINE = re.compile(r"\n(?!\d+ \d+\n|\Z)", re.ASCII)
+
+
 def parse_edge_list(text: str) -> EdgeList:
-    """Edge-list text format: header `n`, then one `u v` pair per line."""
+    """Edge-list text format: header `n`, then one `u v` pair per line.
+
+    Text in the form `serialize_edge_list` writes is read in one pass: one
+    split, one `int` conversion of every token. Any other text (comments,
+    blank lines, tabs, CRLF, signs, a malformed line) is read line by line,
+    with identical results and errors.
+    """
+    if _EDGE_LIST_HEADER.match(text) and not _OFF_FORM_EDGE_LINE.search(text):
+        numbers = map(int, text.split())
+        try:
+            n = next(numbers)
+            pairs = list(zip(numbers, numbers))
+        except ValueError:  # a number past `int`'s digit limit: read line by line
+            pass
+        else:
+            if n <= MAX_EDGE_LIST_NODES:  # else the line-by-line reader refuses it
+                return _edge_list(n, pairs, range(1, len(pairs) + 2))
     rows = list(_rows(text))
     if not rows:
         raise ParseError("empty input, expected node count header")
@@ -412,11 +452,14 @@ def parse_edge_list(text: str) -> EdgeList:
         if len(nums) != 2:
             raise ParseError("edge line must be `u v`", lineno)
         pairs.append((nums[0], nums[1]))
-    unread = iter(pairs)
+    return _edge_list(n, pairs, [lineno for lineno, _ in rows])
+
+
+def _edge_list(n: int, pairs: list[tuple[int, int]], lines: Sequence[int]) -> EdgeList:
+    """`EdgeList.from_pairs(n, pairs)`, with a refusal raised on the line of
+    the pair refused: `lines[index + 1]` for the pair at `index`, and
+    `lines[0]`, the header's, for the node count."""
     try:
-        return EdgeList.from_pairs(n, unread)
+        return EdgeList.from_pairs(n, pairs)
     except GraphError as exc:
-        # from_pairs stops at the first pair it refuses, or before the first
-        # pair if it refuses n, so the pairs left unread locate the line
-        index = len(pairs) - operator.length_hint(unread)
-        raise ParseError(str(exc), rows[index][0]) from exc
+        raise ParseError(str(exc), lines[_refusal(n, pairs)[0] + 1]) from exc

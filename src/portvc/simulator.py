@@ -15,10 +15,13 @@ proposes at most d(v) times, so a run costs O(n + m).
 
 The pure transition functions in `algorithm` remain the specification: any
 delivery the engine does not expect is handed to them, so a malformed port
-table raises the same `ProtocolFault` they raise.
+table raises the same `ProtocolFault` they raise. A proposal through a port
+entry that names no node is refused by the engine itself, naming the
+proposing node and port.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,7 +132,15 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
                     proposals[u].append(k)
         else:
             responses = defaultdict(list)
-            for v in sorted(proposals):
+            receivers = sorted(proposals)
+            if receivers and (receivers[0] < 0 or receivers[-1] >= n):
+                # name the first proposer, in id order, whose port names no node
+                v = next(v for v in proposers if not 0 <= ports[v][i[v] - 1][0] < n)
+                u = ports[v][i[v] - 1][0]
+                raise ProtocolFault(
+                    f"step {t - 1}, node {v}: proposal on port {i[v]} to node {u}, "
+                    f"outside 0..{n - 1}")
+            for v in receivers:
                 arrived = proposals[v]
                 box = sorted(arrived) if len(arrived) > 1 else arrived
                 if box[0] < 1 or box[-1] > deg[v] or len(set(box)) < len(box):
@@ -184,15 +195,29 @@ def format_transcript(t: Transcript) -> str:
     return ("%d %d %d %s\n" * (len(t.flat) // 4)) % t.flat
 
 
+# `format_transcript`'s form, one `t v port kind` line per send, checked as
+# in `graph.parse_edge_list`: the first line, then a search for the first
+# newline not followed by another such line
+_TRANSCRIPT_LINE = rf"\d+ \d+ \d+ (?:{'|'.join(_KIND_TEXT)})\n"
+_FIRST_TRANSCRIPT_LINE = re.compile(rf"{_TRANSCRIPT_LINE}|\Z", re.ASCII)
+_OFF_FORM_TRANSCRIPT_LINE = re.compile(rf"\n(?!{_TRANSCRIPT_LINE}|\Z)", re.ASCII)
+
+
 def parse_transcript(text: str) -> tuple[int | str, ...]:
     """Inverse of `format_transcript`, in the flat form. The first line that
-    is not `t v port kind`, with integers and a known kind, is refused."""
-    flat: list[int | str] = []
-    for _, tokens in _rows(text):
-        if len(tokens) != 4:
-            break
-        flat += tokens
+    is not `t v port kind`, with integers and a known kind, is refused.
+    Text in `format_transcript`'s form is split in one pass; any other text
+    is read line by line, with identical results and errors."""
+    flat: list[int | str] | None = []
+    if _FIRST_TRANSCRIPT_LINE.match(text) and not _OFF_FORM_TRANSCRIPT_LINE.search(text):
+        flat = text.split()
     else:
+        for _, tokens in _rows(text):
+            if len(tokens) != 4:
+                flat = None
+                break
+            flat += tokens
+    if flat is not None:
         try:
             for slot in (0, 1, 2):
                 flat[slot::4] = map(int, flat[slot::4])

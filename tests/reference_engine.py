@@ -101,6 +101,9 @@ def reference_run(
         for v, port, msg in sends:
             entries.append(TranscriptEntry(t, v, port, msg))
             u, k = g.ports[v][port - 1]
+            if msg is Msg.PROPOSE and not 0 <= u < n:  # as `run` refuses it
+                raise ProtocolFault(
+                    f"step {t}, node {v}: proposal on port {port} to node {u}, outside 0..{n - 1}")
             inboxes.setdefault(u, []).append((k, msg))
         if sends:
             last_active = t

@@ -6,16 +6,17 @@ and derives ports through a tuple-keyed dict, one entry per port, as do
 `reference_check_cover` and `reference_double_cover_edges` read the graph
 through `edge_set()`.
 `reference_random_bounded_edges` shuffles all C(n,2) pairs and keeps each
-with probability p. They are the specifications the linear-time code in
-`portvc.graph`, `portvc.analysis` and `portvc.double_cover` is checked
-against.
+with probability p. `reference_parse_edge_list` reads `.el` text line by
+line and checks each pair in turn, refusing the first bad one. They are the
+specifications the linear-time and bulk code in `portvc.graph`,
+`portvc.analysis` and `portvc.double_cover` is checked against.
 """
 from __future__ import annotations
 
 import random
 
 from portvc.errors import ParseError
-from portvc.graph import EdgeList, PortGraph
+from portvc.graph import MAX_EDGE_LIST_NODES, EdgeList, PortGraph
 
 
 def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
@@ -114,6 +115,43 @@ def reference_parse(text: str) -> PortGraph:
     if g.num_edges != m:
         raise ParseError(f"header claims {m} edges, node lines give {g.num_edges}", header_line)
     return g
+
+
+def reference_parse_edge_list(text: str) -> EdgeList:
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            rows.append((lineno, tokens))
+    if not rows:
+        raise ParseError("empty input, expected node count header")
+    header_line, header = rows[0]
+    nums = _int_tokens(header, header_line)
+    if len(nums) != 1:
+        raise ParseError("header must be a single node count", header_line)
+    n = nums[0]
+    if n > MAX_EDGE_LIST_NODES:
+        raise ParseError(f"node count {n} exceeds the limit of {MAX_EDGE_LIST_NODES}", header_line)
+    edges: list[tuple[int, int]] = []
+    for lineno, tokens in rows[1:]:
+        nums = _int_tokens(tokens, lineno)
+        if len(nums) != 2:
+            raise ParseError("edge line must be `u v`", lineno)
+        edges.append((nums[0], nums[1]))
+    # every line is read before any pair is checked, the node count first
+    if n < 0:
+        raise ParseError(f"node_count must be non-negative, got {n}", header_line)
+    seen: set[tuple[int, int]] = set()
+    for (lineno, _), (u, v) in zip(rows[1:], edges):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"node id out of range in edge {{{u}, {v}}}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop at node {u}", lineno)
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ParseError(f"duplicate edge {{{e[0]}, {e[1]}}}", lineno)
+        seen.add(e)
+    return EdgeList(n, tuple((u, v) if u < v else (v, u) for u, v in edges))
 
 
 def reference_check_cover(g: PortGraph, cover) -> bool:

@@ -6,6 +6,7 @@ sweep) live here and nowhere else.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from portvc import (
     check_cover,
     extract_matching,
     from_edge_list,
+    parse,
     project_cover,
     project_matching_edges,
     relabel,
@@ -39,6 +41,7 @@ from portvc.simulator import format_transcript
 
 from conftest import consistent_cycle, g_from_pairs, load_corpus, petersen
 from reference_engine import reference_run
+from test_golden import TIGHT6
 
 THREE = Fraction(3)
 
@@ -233,6 +236,33 @@ def test_criterion_07_worst_case_component():
     assert cert.lower_bound == 1
     assert cert.certified_ratio == Fraction(3, 1)
     _passed(7, "3-node path: LB contribution 1, local ratio 3")
+
+
+def test_factor_three_is_reached():
+    """A genuine run reaches the factor 3. Over all 144 port numberings of
+    the golden case `tight6` (optimum {4, 5}), every check passes, every
+    certified ratio is at most 3, and the largest true ratio is exactly 3,
+    reached by the golden numbering with cover 6 and lower bound 2."""
+    tight = parse(TIGHT6)
+    optimum = solve(tight).optimum_size
+    assert optimum == 2
+    orders = [[u for u, _ in row] for row in tight.ports]
+    worst = Fraction(0)
+    numberings = 0
+    for order in itertools.product(*map(itertools.permutations, orders)):
+        lines = "".join(f"{v} {len(nbrs)} {' '.join(map(str, nbrs))}\n"
+                        for v, nbrs in enumerate(order))
+        g = parse(f"6 6\n{lines}")
+        ra = analyze(g)
+        assert all(ra.checks.values()), ra.checks
+        assert ra.certificate.certified_ratio <= THREE
+        worst = max(worst, Fraction(ra.result.cover_size, optimum))
+        if g == tight:
+            assert (ra.result.cover_size, ra.certificate.lower_bound) == (6, 2)
+        numberings += 1
+    assert numberings == 144
+    assert worst == THREE
+    _passed(7, f"factor 3 reached on {numberings} numberings of a 6-node graph")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from portvc import (
     from_edge_list,
     run,
 )
+from portvc.algorithm import NodeState
 from portvc.analysis import CYCLE, PATH, Component, PairGraph, check_pair_symmetry
 from portvc.simulator import CoverResult
 
@@ -41,13 +42,15 @@ class TestCheckPairSymmetry:
         assert check_pair_symmetry(g, run(g)[1].final_states) is True
 
     def test_partner_that_is_no_node_is_a_fault(self):
-        # node 0's port 1 names node -1: by index that is node 1, which
-        # accepts and answers, so the run pairs node 0 with a node that is
-        # not there
+        # node 0's port 1 names node -1, and node 0 ends with its proposal on
+        # that port accepted: it is paired with a node that is not there.
+        # (`run` refuses the proposal; these are the states an engine that
+        # read -1 as node 1 returned.)
         g = PortGraph(2, (((-1, 1),), ((0, 1),)))
+        states = (NodeState(1, a=1, b=1, i=1, c=True), NodeState(1, a=None, b=1, i=2, c=True))
         with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 accepted via "
                            r"port 1 to node -1, whose b=None does not lead back$"):
-            check_pair_symmetry(g, run(g)[1].final_states)
+            check_pair_symmetry(g, states)
 
 
 class TestBuildPairGraphs:

@@ -155,6 +155,13 @@ class TestFlatFaults:
         with pytest.raises(AnalysisFault, match=rf"^accepted proposal maps to non-edge \({u}, 3\)$"):
             extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
 
+    def test_accept_on_a_port_numbered_below_one(self):
+        # node 1's port 1 claims node 0's port -1: never read as node 0's
+        # last port, (1, 1), which would make the accept an edge
+        g = PortGraph(2, (((1, 1), (1, 1)), ((0, -1),)))
+        with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(0, 3\)$"):
+            extract_matching(build_double_cover(g), (2, 1, 1, "accept"))
+
     def test_black_copy_matched_twice(self):
         # leaves 1 and 2 both accept the centre's proposal: B(0) twice
         flat = (2, 1, 1, "accept", 2, 2, 1, "accept")

@@ -3,7 +3,11 @@
 `parse` must return a graph equal to the one `reference_parse` returns, or
 raise a `ParseError` with the same message and line, on valid `.pg` texts,
 on perturbed ones and on arbitrary text. Both parsers must never raise
-anything but `ParseError`. `check_cover` and the double-cover edges must
+anything but `ParseError`. `parse_edge_list`, whose bulk pass reads the
+form `serialize_edge_list` writes, must agree the same way with the
+line-by-line `reference_parse_edge_list`: on every corpus graph, on
+Hypothesis edge lists, on those texts with one perturbation each, and on
+arbitrary text. `check_cover` and the double-cover edges must
 agree with their `edge_set()`-based references. `from_edge_list`, under
 each numbering policy, and `permute_ports` must derive the same reciprocal
 ports as the tuple-keyed dict of the reference. `random_bounded_edges` must
@@ -29,17 +33,20 @@ from portvc import (
     parse_edge_list,
     permute_ports,
     serialize,
+    serialize_edge_list,
 )
-from portvc.graph import random_bounded_edges
+from portvc.graph import MAX_EDGE_LIST_NODES, random_bounded_edges
 
 from reference_graph import (
     reference_check_cover,
     reference_double_cover_edges,
     reference_from_edge_list,
     reference_parse,
+    reference_parse_edge_list,
     reference_permute_ports,
     reference_random_bounded_edges,
 )
+from conftest import load_corpus
 from test_engine_differential import port_tables
 from test_properties import edge_lists, port_graphs
 
@@ -53,6 +60,10 @@ def _outcome(parser, text: str):
 
 def _assert_same_parse(text: str) -> None:
     assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def _assert_same_edge_list_parse(text: str) -> None:
+    assert _outcome(parse_edge_list, text) == _outcome(reference_parse_edge_list, text)
 
 
 @given(port_graphs(), st.integers(min_value=0, max_value=2**32))
@@ -136,7 +147,79 @@ PG_LIKE = st.text(alphabet=st.sampled_from("0123456789  -\n#x\t"), max_size=60)
 @settings(max_examples=1000)
 def test_arbitrary_text_parses_or_raises_parse_error(text):
     _assert_same_parse(text)
-    _outcome(parse_edge_list, text)
+    _assert_same_edge_list_parse(text)
+
+
+def test_corpus_edge_lists_parse_like_reference():
+    checked = 0
+    for n, pairs in load_corpus():
+        text = serialize_edge_list(EdgeList.from_pairs(n, pairs))
+        assert parse_edge_list(text) == reference_parse_edge_list(text)
+        checked += 1
+    assert checked == 12113
+
+
+@given(edge_lists(max_n=12))
+def test_edge_lists_parse_like_reference(el):
+    text = serialize_edge_list(el)
+    assert parse_edge_list(text) == el
+    _assert_same_edge_list_parse(text)
+
+
+EDGE_LIST_PERTURBATIONS = (
+    "tab", "crlf", "comment-line", "blank-line", "sign", "leading-zero", "one-token",
+    "three-tokens", "no-final-newline", "self-loop", "duplicate", "id-equal-n",
+    "header-over-limit",
+)
+
+
+@st.composite
+def perturbed_edge_list_texts(draw):
+    """A serialized edge list with one perturbation applied."""
+    el = draw(edge_lists(max_n=10))
+    n = el.node_count
+    lines = serialize_edge_list(el).splitlines()
+    op = draw(st.sampled_from(EDGE_LIST_PERTURBATIONS))
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))  # 0 is the header
+    after_header = st.integers(min_value=1, max_value=len(lines))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    tokens = lines[i].split()
+    j = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+    if op == "tab":
+        lines[i] = lines[i].replace(" ", "\t")
+    elif op == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif op == "comment-line":
+        lines.insert(i + draw(st.integers(0, 1)), draw(st.sampled_from(["#", "# 0 1", "#0 1"])))
+    elif op == "blank-line":
+        lines.insert(i + draw(st.integers(0, 1)), draw(st.sampled_from(["", " ", "\t"])))
+    elif op in ("sign", "leading-zero"):
+        tokens[j] = draw(st.sampled_from(["+", "-"] if op == "sign" else ["0", "00"])) + tokens[j]
+        lines[i] = " ".join(tokens)
+    elif op == "one-token":
+        lines[i] = tokens[0]
+    elif op == "three-tokens":
+        lines[i] += f" {draw(node)}"
+    elif op == "no-final-newline":
+        return "\n".join(lines)
+    elif op == "self-loop":
+        v = draw(node)
+        lines.insert(draw(after_header), f"{v} {v}")
+    elif op == "duplicate" and el.edges:
+        u, v = draw(st.sampled_from(el.edges))
+        lines.insert(draw(after_header), draw(st.sampled_from([f"{u} {v}", f"{v} {u}"])))
+    elif op == "id-equal-n":
+        u = draw(node)
+        lines.insert(draw(after_header), draw(st.sampled_from([f"{u} {n}", f"{n} {u}"])))
+    elif op == "header-over-limit":
+        lines[0] = str(MAX_EDGE_LIST_NODES + 1)
+    return "\n".join(lines) + "\n"
+
+
+@given(perturbed_edge_list_texts())
+@settings(max_examples=1000)
+def test_perturbed_edge_list_texts_parse_like_reference(text):
+    _assert_same_edge_list_parse(text)
 
 
 @given(port_tables(), st.data())

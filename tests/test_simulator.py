@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from portvc import EdgeList, Msg, from_edge_list, permute_ports, run
+from portvc import EdgeList, Msg, PortGraph, ProtocolFault, from_edge_list, permute_ports, run
 from portvc.simulator import (
     TranscriptEntry,
     format_transcript,
@@ -112,6 +112,30 @@ class TestRun:
     def test_horizon(self):
         assert horizon_for(k2()) == 3
         assert horizon_for(from_edge_list(EdgeList.from_pairs(3, []))) == 1
+
+
+class TestMalformedTables:
+    """A port table built in code that names no node is refused by `run`,
+    with a `ProtocolFault` naming the proposing node and port."""
+
+    @pytest.mark.parametrize("u", [-1, 5])
+    def test_proposal_to_no_node_is_refused(self, u):
+        # -1 must not be read as node 1, and 5 must not be an `IndexError`
+        g = PortGraph(2, (((u, 1),), ((0, 1),)))
+        with pytest.raises(
+            ProtocolFault, match=rf"^step 1, node 0: proposal on port 1 to node {u}, outside 0..1$"
+        ):
+            run(g)
+
+    def test_first_proposer_in_id_order_is_named(self):
+        # node 0 rejects the proposals of nodes 2 and 3, which then propose
+        # on their port 2, to nodes -1 and 4: both ends of the receivers
+        g = PortGraph(4, (((1, 1), (2, 1), (3, 1)), ((0, 1),), ((0, 2), (-1, 1)),
+                          ((0, 3), (4, 1))))
+        with pytest.raises(
+            ProtocolFault, match=r"^step 3, node 2: proposal on port 2 to node -1, outside 0..3$"
+        ):
+            run(g)
 
 
 class TestTranscriptText:

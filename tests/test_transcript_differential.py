@@ -7,6 +7,8 @@ the corpus and on Hypothesis graphs the written texts must be
 byte-identical. On perturbed texts (wrong token counts, non-integers,
 unknown kinds, comment and blank lines, CRLF line ends) both readers must
 give the same entries or raise a `ProtocolFault` with the same message.
+Texts with a single perturbation each sit just outside the form
+`format_transcript` writes, which `parse_transcript` splits in one pass.
 """
 from __future__ import annotations
 
@@ -105,6 +107,53 @@ def perturbed_transcript_texts(draw):
 @given(perturbed_transcript_texts())
 @settings(max_examples=1000)
 def test_perturbed_texts_parse_like_reference(text):
+    _assert_same_parse(text)
+
+
+SINGLE_PERTURBATIONS = (
+    "tab", "crlf", "comment-line", "blank-line", "no-final-newline", "three-tokens",
+    "five-tokens", "unknown-kind", "plus-sign", "joined-lines",
+)
+
+
+@st.composite
+def single_perturbation_transcript_texts(draw):
+    """The text of a genuine run with one perturbation applied."""
+    g = draw(port_graphs(max_n=7))
+    lines = format_transcript(run(g)[1]).splitlines()
+    op = draw(st.sampled_from(SINGLE_PERTURBATIONS))
+    if op == "crlf":
+        return "".join(line + "\r\n" for line in lines)
+    if op == "no-final-newline":
+        return "\n".join(lines)
+    i = draw(st.integers(min_value=0, max_value=len(lines)))
+    if op == "comment-line":
+        lines.insert(i, draw(st.sampled_from(["#", "# 1 0 1 propose", "#1 0 1 offer"])))
+    elif op == "blank-line":
+        lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+    elif i + 1 < len(lines) and op == "joined-lines":
+        # eight tokens on one line: a whole split would read two sends
+        lines[i : i + 2] = [f"{lines[i]} {lines[i + 1]}"]
+    elif i < len(lines) and op == "tab":
+        lines[i] = lines[i].replace(" ", "\t", draw(st.integers(min_value=1, max_value=3)))
+    elif i < len(lines):
+        tokens = lines[i].split()
+        j = draw(st.integers(min_value=0, max_value=3))
+        if op == "three-tokens":
+            del tokens[j]
+        elif op == "five-tokens":
+            tokens.insert(j, draw(st.sampled_from(["1", "propose"])))
+        elif op == "unknown-kind":
+            tokens[3] = draw(st.sampled_from(["offer", "Propose", "accepted", "rejec"]))
+        elif op == "plus-sign":
+            tokens[min(j, 2)] = "+" + tokens[min(j, 2)]
+        lines[i] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@given(single_perturbation_transcript_texts())
+@settings(max_examples=1000)
+def test_single_perturbations_parse_like_reference(text):
     _assert_same_parse(text)
 
 
