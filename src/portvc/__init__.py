@@ -7,7 +7,7 @@ Library layout:
 - `simulator`: the synchronous round engine, transcripts, replay
 - `analysis`: pair-graph decomposition and the certified lower bound
 - `double_cover`: the bipartite double-cover / maximal-matching view
-- `oracle`: exact minimum vertex cover for small instances
+- `oracle`: exact minimum vertex cover for small instances, by branch and bound
 - `checks`: named invariant checks over a run
 - `cli`: the `vc` command-line tool
 """
@@ -42,7 +42,7 @@ from .graph import (
     serialize_edge_list,
     validate,
 )
-from .oracle import OracleResult, brute_force, solve
+from .oracle import OracleResult, solve
 from .simulator import CoverResult, Transcript, replay, run
 
 __all__ = [
@@ -55,6 +55,6 @@ __all__ = [
     "EdgeList", "PortGraph", "from_edge_list", "generate", "parse",
     "parse_edge_list", "permute_ports", "relabel", "serialize",
     "serialize_edge_list", "validate",
-    "OracleResult", "brute_force", "solve",
+    "OracleResult", "solve",
     "CoverResult", "Transcript", "replay", "run",
 ]

@@ -1,8 +1,9 @@
 """Structural analysis of a run: pair symmetry, pair graphs, certificate.
 
-The pair edges of a run induce a subgraph of maximum degree 2 whose
-non-isolated nodes are exactly the cover; its components are paths and
-cycles, found by one walk per component in O(n + m) time. Summing
+The pair edges of a run, one from each node to its `CoverResult.partner`,
+induce a subgraph of maximum degree 2 whose non-isolated nodes are exactly
+the cover; its components are paths and cycles, found by one walk per
+component over node-indexed neighbour arrays in O(n + m) time. Summing
 ceil(m/2) over the (cycle-opened) path components gives a per-instance
 lower bound on any vertex cover, certifying the cover is within factor 3
 of optimal without an exact solver.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .algorithm import NodeState
 from .errors import AnalysisFault
@@ -34,8 +36,6 @@ class PairGraph:
     """Pair subgraph of a run: all of V with the pair edges, decomposed."""
 
     node_count: int
-    pair_edges: frozenset[tuple[int, int]]
-    cover: frozenset[int]
     components: tuple[Component, ...]
 
 
@@ -73,66 +73,81 @@ def check_pair_symmetry(g: PortGraph, states: tuple[NodeState, ...]) -> bool:
 def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     """Decompose the pair edges into path/cycle components.
 
+    Each node v with `result.partner[v] != -1` gives the pair edge
+    {v, partner[v]}; a 2-cycle, two nodes each other's partner, is one edge.
     Asserts the structural guarantees (pair edges are graph edges, found in
-    the port table of their smaller end; degree <= 2; non-isolated nodes
-    equal the cover); a violation is an analysis fault, never a property of
-    a genuine run. Once they hold, every component is a simple path or
-    cycle, and one walk per component decomposes it in O(n + m) time,
-    besides one sort of the cover. Components come in order of their
+    the port table of their smaller end; degree <= 2, else the smallest
+    node above it is named; non-isolated nodes equal the cover); a violation
+    is an analysis fault, never a property of a genuine run. Once they hold,
+    every component is a simple path or cycle, and one walk per component
+    decomposes it in O(n + m) time. Components come in order of their
     smallest node; a path starts at its smaller end, a cycle at its smallest
     node, towards that node's smaller neighbour.
     """
-    edges = result.pair_edges
     n = g.node_count
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        if not (0 <= u < v < n and any(w == v for w, _ in g.ports[u])):
+    ports = g.ports
+    partner = result.partner
+    # each node's first two pair neighbours, -1 for none, and its pair degree
+    first = [-1] * n
+    second = [-1] * n
+    deg = [0] * n
+    for v, p in enumerate(partner):
+        if p == -1 or 0 <= p < v and partner[p] == v:  # none, or a 2-cycle's second half
+            continue
+        u, w = (v, p) if v < p else (p, v)
+        if not (0 <= u < w < n and w in map(itemgetter(0), ports[u])):
             raise AnalysisFault("pair edges are not a subset of the graph's edges")
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
-        if len(nbrs) > 2:
-            raise AnalysisFault(f"node {v} has pair degree {len(nbrs)} > 2")
-    non_isolated = frozenset(adj)
-    if non_isolated != result.cover:
+        for x, y in ((u, w), (w, u)):
+            if first[x] == -1:
+                first[x] = y
+            elif second[x] == -1:
+                second[x] = y
+            deg[x] += 1
+    if max(deg, default=0) > 2:
+        v = next(v for v in range(n) if deg[v] > 2)
+        raise AnalysisFault(f"node {v} has pair degree {deg[v]} > 2")
+    cover = result.cover
+    if n - deg.count(0) != len(cover) or not all(0 <= v < n and deg[v] for v in cover):
+        non_isolated = frozenset(v for v in range(n) if deg[v])
         raise AnalysisFault(
             "non-isolated pair-graph nodes differ from the cover: "
-            f"only-pair={sorted(non_isolated - result.cover)} "
-            f"only-cover={sorted(result.cover - non_isolated)}"
+            f"only-pair={sorted(non_isolated - cover)} "
+            f"only-cover={sorted(cover - non_isolated)}"
         )
 
     components: list[Component] = []
     visited: set[int] = set()
-    for start in sorted(adj):
-        if start in visited:
+    for start in range(n):
+        if not deg[start] or start in visited:
             continue
         # start is the smallest node of its component
-        nbrs = sorted(adj[start])
-        seq = [start] + _walk(adj, start, nbrs[0])
-        if len(adj[seq[-1]]) == 2:  # the walk came back to start
-            # (start, nbrs[0]) is the cycle's least edge
-            components.append(Component(CYCLE, tuple(seq), len(seq), (start, nbrs[0])))
+        near, far = first[start], second[start]
+        if far != -1 and far < near:
+            near, far = far, near
+        seq = [start] + _walk(first, second, start, near)
+        if deg[seq[-1]] == 2:  # the walk came back to start
+            # (start, near) is the cycle's least edge
+            components.append(Component(CYCLE, tuple(seq), len(seq), (start, near)))
         else:
-            if len(nbrs) == 2:  # start lies inside the path
-                seq[:0] = reversed(_walk(adj, start, nbrs[1]))
+            if far != -1:  # start lies inside the path
+                seq[:0] = reversed(_walk(first, second, start, far))
             if seq[-1] < seq[0]:
                 seq.reverse()
             components.append(Component(PATH, tuple(seq), len(seq) - 1, None))
         visited.update(seq)
-    return PairGraph(g.node_count, edges, result.cover, tuple(components))
+    return PairGraph(n, tuple(components))
 
 
-def _walk(adj: dict[int, list[int]], start: int, v: int) -> list[int]:
+def _walk(first: list[int], second: list[int], start: int, v: int) -> list[int]:
     """The nodes from v on, stepping away from start, up to a path end or
     the node before start."""
     seq = []
     prev = start
     while v != start:
         seq.append(v)
-        nbrs = adj[v]
-        if len(nbrs) == 1:
+        if second[v] == -1:
             break
-        prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
+        prev, v = v, second[v] if first[v] == prev else first[v]
     return seq
 
 

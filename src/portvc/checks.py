@@ -7,7 +7,12 @@ pair-graph checks (`g1-max-degree-2`, `g1-nonisolated-equals-C`,
 `components-paths-or-cycles`) share one layer, `build_pair_graphs`, so they
 fail together, and `certified-ratio-le-3` fails with them because the
 certificate is computed from the pair graph. Pair symmetry is a verdict
-like the others. A failed check still yields a full report (`vc` prints it
+like the others. `projection-equals-cover` compares two independent
+derivations of the run: the projected cover with `CoverResult.cover`, and
+the double-cover `mate` array, read from the transcript's accepts, with
+`CoverResult.partner`, read from the engine's states. The second is
+directed: node u's proposal accepted by v on one side, u's partner v on
+the other. A failed check still yields a full report (`vc` prints it
 and exits 3); only a `ProtocolFault` from the engine ends `vc` with no report.
 """
 from __future__ import annotations
@@ -72,6 +77,6 @@ def analyze(g: PortGraph) -> RunAnalysis:
         "double-cover-maximal-matching": h is not None,
         "projection-equals-cover": h is not None
         and double_cover.project_cover(h) == result.cover
-        and double_cover.project_matching_edges(h) == result.pair_edges,
+        and double_cover.project_matching_edges(h) == result.partner,
     }
     return RunAnalysis(result, transcript, pair_graph, certificate, checks)

@@ -4,8 +4,9 @@ Every node v has a black copy B(v) = v and a white copy W(v) = v + n; the
 bipartition is implicit in the ids. Each port entry (v -> u) is the copy
 edge {B(v), W(u)}, so the port table already is the cover and `DoubleCover`
 only views it. The accepted proposals of a run form a maximal matching in
-it, checked in O(n + m) with no m-sized edge set; projecting the matched
-copies back recovers the cover, and the matching edges the pair edges.
+it, checked in O(n + m) with no m-sized edge set, and held as `mate`, one
+int per black copy. Projecting the matched copies back recovers the
+cover, and on a genuine run `mate` equals the run's `CoverResult.partner`.
 """
 from __future__ import annotations
 
@@ -21,23 +22,17 @@ from .simulator import Transcript
 class DoubleCover:
     """Double cover H of `graph`, a view of its port table, plus a matching.
 
-    Matching entries are (black, white) pairs with black in 0..n-1 and
-    white in n..2n-1.
+    `mate[u] == v` when the black copy B(u) is matched to the white copy
+    W(v); -1 when B(u) is unmatched.
     """
 
     graph: PortGraph
-    matching: frozenset[tuple[int, int]]
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The 2|E| copy edges {B(v), W(u)}, derived from the port table."""
-        n = self.graph.node_count
-        return frozenset((v, u + n) for v, es in enumerate(self.graph.ports) for u, _ in es)
+    mate: tuple[int, ...]
 
 
 def build_double_cover(g: PortGraph) -> DoubleCover:
     """H on 2n nodes with 2|E| edges and an empty matching."""
-    return DoubleCover(g, frozenset())
+    return DoubleCover(g, (-1,) * g.node_count)
 
 
 def extract_matching(h: DoubleCover, t: Transcript | tuple[int | str, ...]) -> DoubleCover:
@@ -53,43 +48,40 @@ def extract_matching(h: DoubleCover, t: Transcript | tuple[int | str, ...]) -> D
     ports = h.graph.ports
     n = h.graph.node_count
     flat = t.flat if isinstance(t, Transcript) else t
-    matching: set[tuple[int, int]] = set()
-    black = [False] * n  # black[u]: B(u) is matched
-    white = [False] * n
+    mate = [-1] * n
+    white = [False] * n  # white[v]: W(v) is matched
     # the offset in `flat` of each accept, in transcript order
     for x in compress(range(0, len(flat), 4), map("accept".__eq__, flat[3::4])):
         step, v, j = flat[x : x + 3]
         if not (0 <= v < n and 1 <= j <= len(ports[v])):
             raise AnalysisFault(f"accept at step {step} from node {v} names no port {j}")
         u, k = ports[v][j - 1]
-        edge = (u, v + n)
         if not (0 <= u < n and 1 <= k <= len(ports[u])) or ports[u][k - 1] != (v, j):
-            raise AnalysisFault(f"accepted proposal maps to non-edge {edge}")
-        if black[u]:
+            raise AnalysisFault(f"accepted proposal maps to non-edge {(u, v + n)}")
+        if mate[u] != -1:
             raise AnalysisFault(f"black copy of node {u} matched twice")
         if white[v]:
             raise AnalysisFault(f"white copy of node {v} matched twice")
-        black[u] = white[v] = True
-        matching.add(edge)
+        mate[u] = v
+        white[v] = True
     for v, es in enumerate(ports):
-        if not black[v]:
+        if mate[v] == -1:
             for u, _ in es:
                 if not white[u]:
                     raise AnalysisFault(
                         f"matching not maximal: edge ({v}, {u + n}) has no matched endpoint"
                     )
-    return replace(h, matching=frozenset(matching))
+    return replace(h, mate=tuple(mate))
 
 
 def project_cover(h: DoubleCover) -> frozenset[int]:
     """Nodes whose black or white copy (or both) is matched."""
-    n = h.graph.node_count
-    return frozenset(b for b, _ in h.matching) | frozenset(w - n for _, w in h.matching)
+    matched = [u for u, v in enumerate(h.mate) if v != -1]
+    return frozenset(matched).union(h.mate[u] for u in matched)
 
 
-def project_matching_edges(h: DoubleCover) -> frozenset[tuple[int, int]]:
-    """Matching edges mapped back to edges of the original graph."""
-    n = h.graph.node_count
-    return frozenset(
-        (b, w - n) if b < w - n else (w - n, b) for b, w in h.matching
-    )
+def project_matching_edges(h: DoubleCover) -> tuple[int, ...]:
+    """The matching mapped back to the original graph, in the form of
+    `CoverResult.partner`: for each node u, the node v with B(u)-W(v)
+    matched, or -1."""
+    return h.mate

@@ -81,9 +81,6 @@ class PortGraph:
     node_count: int
     ports: tuple[tuple[tuple[int, int], ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.ports[v])
-
     @property
     def max_degree(self) -> int:
         return max(map(len, self.ports), default=0)

@@ -1,19 +1,17 @@
-"""Exact minimum vertex cover for desk-scale instances.
+"""Exact minimum vertex cover for desk-scale instances, by branch and bound.
 
-Two independent methods: a branch-and-bound search (`solve`) and plain
-subset enumeration (`brute_force`), so neither is a single point of trust
-for the acceptance checks that hinge on the true optimum.
+The tests check `solve` against a second, independent method, plain subset
+enumeration, so that it is not a single point of trust for the acceptance
+checks that hinge on the true optimum.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import OracleRefusal
 from .graph import PortGraph
 
 DEFAULT_CAP = 32
-BRUTE_FORCE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,3 @@ class _Search:
         self.recurse(cover | {u})
         # u excluded: every edge at u must be covered by the other endpoint
         self.recurse(cover | self.adj[u])
-
-
-def brute_force(g: PortGraph) -> OracleResult:
-    """Exhaustive subset enumeration in increasing size; first cover wins."""
-    n = g.node_count
-    if n > BRUTE_FORCE_CAP:
-        raise OracleRefusal(f"instance has {n} nodes, brute-force cap is {BRUTE_FORCE_CAP}")
-    edges = sorted(g.edge_set())
-    if not edges:
-        return OracleResult(0, frozenset(), 1)
-    checked = 0
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            checked += 1
-            chosen = set(subset)
-            if all(u in chosen or v in chosen for u, v in edges):
-                return OracleResult(k, frozenset(chosen), checked)
-    raise AssertionError("unreachable: the full node set always covers")

@@ -15,9 +15,12 @@ proposes at most d(v) times, so a run costs O(n + m).
 
 The pure transition functions in `algorithm` remain the specification: any
 delivery the engine does not expect is handed to them, so a malformed port
-table raises the same `ProtocolFault` they raise. A proposal through a port
-entry that names no node is refused by the engine itself, naming the
-proposing node and port.
+table raises the same `ProtocolFault` they raise. A proposal, accept or
+reject sent through a port entry that names no node is refused by the
+engine itself, naming the sending node and port.
+
+`CoverResult.partner` holds the run's pair relation as one int per node:
+the neighbour behind the port of its accepted proposal, or -1.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ class Transcript:
 @dataclass(frozen=True)
 class CoverResult:
     cover: frozenset[int]
-    pair_edges: frozenset[tuple[int, int]]
+    partner: tuple[int, ...]  # per node: where its accepted proposal went, or -1
     rounds_run: int
     last_active_step: int
 
@@ -104,9 +107,17 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
         if t % 2:
             visit = proposers
             if responses and not responses.keys() <= set(proposers):
+                if not all(0 <= u < n for u in responses):
+                    # name the first response of step t - 1, in send order,
+                    # whose port entry names no node
+                    v, j, kind = next(
+                        flat[x + 1 : x + 4] for x in range(0, len(flat), 4)
+                        if flat[x] == t - 1 and not 0 <= ports[flat[x + 1]][flat[x + 2] - 1][0] < n)
+                    raise ProtocolFault(f"step {t - 1}, node {v}: {kind} on port {j} to node "
+                                        f"{ports[v][j - 1][0]}, outside 0..{n - 1}")
                 # a response reached a node with no proposal out: visit in id
                 # order, so that the fault raised is the lowest node's
-                visit = sorted(set(proposers).union(u for u in responses if 0 <= u < n))
+                visit = sorted(set(proposers).union(responses))
             proposers = []
             proposals = defaultdict(list)
             for v in visit:
@@ -169,9 +180,8 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     )
     cover = frozenset(v for v in range(n) if c[v])
     # v's accepted proposal went to the neighbour behind port a[v]
-    partners = ((v, ports[v][a[v] - 1][0]) for v in range(n) if a[v])
-    pair_edges = frozenset((v, u) if v < u else (u, v) for v, u in partners)
-    result = CoverResult(cover, pair_edges, horizon, last_active)
+    partner = tuple([-1 if av is None else row[av - 1][0] for row, av in zip(ports, a)])
+    result = CoverResult(cover, partner, horizon, last_active)
     transcript = Transcript(tuple(flat), states, last_active)
     return result, transcript
 
@@ -208,31 +218,26 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
     is not `t v port kind`, with integers and a known kind, is refused.
     Text in `format_transcript`'s form is split in one pass; any other text
     is read line by line, with identical results and errors."""
-    flat: list[int | str] | None = []
     if _FIRST_TRANSCRIPT_LINE.match(text) and not _OFF_FORM_TRANSCRIPT_LINE.search(text):
-        flat = text.split()
-    else:
-        for _, tokens in _rows(text):
-            if len(tokens) != 4:
-                flat = None
-                break
-            flat += tokens
-    if flat is not None:
+        flat: list[int | str] = text.split()
         try:
             for slot in (0, 1, 2):
                 flat[slot::4] = map(int, flat[slot::4])
+        except ValueError:  # a number past `int`'s digit limit: named below
+            pass
+        else:
             flat[3::4] = map(_KIND_TEXT.__getitem__, flat[3::4])
             return tuple(flat)
-        except (KeyError, ValueError):
-            pass
-    for lineno, tokens in _rows(text):  # name the first malformed line
+    flat = []
+    for lineno, tokens in _rows(text):
         if len(tokens) != 4:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
+        step, v, port, kind = tokens
         try:
-            int(tokens[0]), int(tokens[1]), int(tokens[2]), Msg(tokens[3])
-        except ValueError:
+            flat += int(step), int(v), int(port), _KIND_TEXT[kind]
+        except (KeyError, ValueError):
             raise ProtocolFault(f"transcript line {lineno}: malformed entry") from None
-    raise AssertionError("no malformed transcript line")
+    return tuple(flat)
 
 
 def replay(g: PortGraph, t: Transcript | tuple[int | str, ...]) -> list[str]:

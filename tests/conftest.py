@@ -11,6 +11,14 @@ from portvc.graph import clique_edges, cycle_edges, path_edges, star_edges
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
+def pair_edges(result) -> frozenset[tuple[int, int]]:
+    """A run's pair edges as a set of (smaller, larger) node pairs: one from
+    each node to its `partner`, a 2-cycle counted once."""
+    return frozenset(
+        (v, u) if v < u else (u, v) for v, u in enumerate(result.partner) if u != -1
+    )
+
+
 def g_from_pairs(n: int, pairs, policy: str = "sorted", seed: int | None = None) -> PortGraph:
     return from_edge_list(EdgeList.from_pairs(n, pairs), policy, seed)
 

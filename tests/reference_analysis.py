@@ -1,6 +1,7 @@
 """Reference pair-graph decomposition: the two-traversal walk `src/` replaced.
 
-`reference_build_pair_graphs` finds each component with a depth-first
+`reference_build_pair_graphs` collects the pair edges, one from each node
+to its `partner`, into a set, finds each component with a depth-first
 search, then walks it again from its smaller endpoint (a path) or its
 smallest node (a cycle), testing each step against the list walked so far,
 O(L^2) for a component of L nodes. It also re-checks that the components
@@ -23,14 +24,16 @@ def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     cover); a violation is an analysis fault, never a property of a
     genuine run.
     """
-    edges = result.pair_edges
+    edges = frozenset(
+        (v, u) if v < u else (u, v) for v, u in enumerate(result.partner) if u != -1
+    )
     if not edges <= g.edge_set():
         raise AnalysisFault("pair edges are not a subset of the graph's edges")
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
+    for v, nbrs in sorted(adj.items()):  # the smallest node is named
         if len(nbrs) > 2:
             raise AnalysisFault(f"node {v} has pair degree {len(nbrs)} > 2")
     non_isolated = frozenset(adj)
@@ -73,7 +76,7 @@ def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
         expected = comp.edge_count + 1 if comp.kind == PATH else comp.edge_count
         if len(comp.nodes) != expected:
             raise AnalysisFault(f"{comp.kind} component has wrong node count")
-    return PairGraph(g.node_count, edges, result.cover, tuple(components))
+    return PairGraph(g.node_count, tuple(components))
 
 
 def _component_of(adj: dict[int, list[int]], start: int) -> set[int]:

@@ -4,7 +4,8 @@
 double cover as a frozenset. `reference_extract_matching` tests each
 accepted edge for membership in that set and checks maximality by iterating
 over it, so its maximality fault names whichever unmatched edge the set
-yields first. `portvc.double_cover.extract_matching` is checked against it.
+yields first. It returns the matching in the form of `DoubleCover.mate`.
+`portvc.double_cover.extract_matching` is checked against it.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ def reference_copy_edges(g: PortGraph) -> frozenset[tuple[int, int]]:
 
 def reference_extract_matching(
     g: PortGraph, entries: tuple[TranscriptEntry, ...]
-) -> frozenset[tuple[int, int]]:
-    """The matching of a run's accepted proposals, asserted maximal."""
+) -> tuple[int, ...]:
+    """The matching of a run's accepted proposals, asserted maximal: for
+    each node u, the node v with B(u)-W(v) matched, or -1."""
     n = g.node_count
     edges = reference_copy_edges(g)
     matching: set[tuple[int, int]] = set()
@@ -48,4 +50,7 @@ def reference_extract_matching(
             raise AnalysisFault(
                 f"matching not maximal: edge ({b}, {w}) has no matched endpoint"
             )
-    return frozenset(matching)
+    mate = [-1] * n
+    for b, w in matching:
+        mate[b] = w - n
+    return tuple(mate)

@@ -62,7 +62,7 @@ def reference_run(
     the state snapshot after every step (else an empty list).
     """
     n = g.node_count
-    states = [NodeState(degree=g.degree(v)) for v in range(n)]
+    states = [NodeState(degree=len(g.ports[v])) for v in range(n)]
     steps = horizon_for(g) + extra_steps
     entries: list[TranscriptEntry] = []
     inboxes: dict[int, list[tuple[int, Msg]]] = {}
@@ -101,9 +101,10 @@ def reference_run(
         for v, port, msg in sends:
             entries.append(TranscriptEntry(t, v, port, msg))
             u, k = g.ports[v][port - 1]
-            if msg is Msg.PROPOSE and not 0 <= u < n:  # as `run` refuses it
+            if not 0 <= u < n:  # as `run` refuses it
+                what = "proposal" if msg is Msg.PROPOSE else msg.value
                 raise ProtocolFault(
-                    f"step {t}, node {v}: proposal on port {port} to node {u}, outside 0..{n - 1}")
+                    f"step {t}, node {v}: {what} on port {port} to node {u}, outside 0..{n - 1}")
             inboxes.setdefault(u, []).append((k, msg))
         if sends:
             last_active = t
@@ -112,8 +113,7 @@ def reference_run(
 
     cover = frozenset(v for v in range(n) if states[v].c)
     # as in `run`: v's accepted proposal went to the neighbour behind port a
-    partners = ((v, g.ports[v][st.a - 1][0]) for v, st in enumerate(states) if st.a)
-    pair_edges = frozenset((v, u) if v < u else (u, v) for v, u in partners)
-    result = CoverResult(cover, pair_edges, steps, last_active)
+    partner = tuple(g.ports[v][st.a - 1][0] if st.a else -1 for v, st in enumerate(states))
+    result = CoverResult(cover, partner, steps, last_active)
     transcript = Transcript(flatten(entries), tuple(states), last_active)
     return result, transcript, history

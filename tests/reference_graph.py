@@ -8,8 +8,9 @@ through `edge_set()`.
 `reference_random_bounded_edges` shuffles all C(n,2) pairs and keeps each
 with probability p. `reference_parse_edge_list` reads `.el` text line by
 line and checks each pair in turn, refusing the first bad one. They are the
-specifications the linear-time and bulk code in `portvc.graph`,
-`portvc.analysis` and `portvc.double_cover` is checked against.
+specifications the linear-time and bulk code in `portvc.graph` and
+`portvc.analysis` is checked against; `reference_double_cover_edges` is
+the one the port-table view of the double cover is checked against.
 """
 from __future__ import annotations
 

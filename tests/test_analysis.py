@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from portvc import (
 )
 from portvc.algorithm import NodeState
 from portvc.analysis import CYCLE, PATH, Component, PairGraph, check_pair_symmetry
-from portvc.simulator import CoverResult
 
 from conftest import consistent_cycle, cycle, k2, star
 
@@ -79,7 +79,7 @@ class TestBuildPairGraphs:
         res, _ = run(g)
         pg = build_pair_graphs(g, res)
         assert pg.components == ()
-        assert pg.pair_edges == frozenset()
+        assert res.partner == (-1,) * 4
 
     def test_star_components_partition_cover(self):
         g = star(5)
@@ -92,39 +92,22 @@ class TestBuildPairGraphs:
     def test_fabricated_extra_pair_edge_is_a_fault(self):
         g = cycle(5)
         res, _ = run(g)
-        bogus = CoverResult(
-            cover=res.cover,
-            pair_edges=res.pair_edges | {(99, 100)},
-            rounds_run=res.rounds_run,
-            last_active_step=res.last_active_step,
-        )
+        # node 0 gets a partner outside the graph, node 99
+        bogus = dataclasses.replace(res, partner=(99,) + res.partner[1:])
         with pytest.raises(AnalysisFault, match="not a subset"):
             build_pair_graphs(g, bogus)
 
     def test_cover_mismatch_is_a_fault(self):
         g = k2()
         res, _ = run(g)
-        bogus = CoverResult(
-            cover=res.cover | {7} if g.node_count > 7 else frozenset({0}),
-            pair_edges=res.pair_edges,
-            rounds_run=res.rounds_run,
-            last_active_step=res.last_active_step,
-        )
+        bogus = dataclasses.replace(
+            res, cover=res.cover | {7} if g.node_count > 7 else frozenset({0}))
         with pytest.raises(AnalysisFault, match="differ from the cover"):
             build_pair_graphs(g, bogus)
 
 
 def _single_component_pg(comp: Component) -> PairGraph:
-    edges = frozenset(
-        (u, v) if u < v else (v, u)
-        for u, v in zip(comp.nodes, comp.nodes[1:] + ((comp.nodes[0],) if comp.kind == CYCLE else ()))
-    )
-    return PairGraph(
-        node_count=len(comp.nodes),
-        pair_edges=edges,
-        cover=frozenset(comp.nodes),
-        components=(comp,),
-    )
+    return PairGraph(node_count=len(comp.nodes), components=(comp,))
 
 
 class TestCertify:
@@ -147,13 +130,13 @@ class TestCertify:
         assert cert.certified_ratio == Fraction(2, 1)
 
     def test_empty_cover_has_no_ratio(self):
-        pg = PairGraph(3, frozenset(), frozenset(), ())
+        pg = PairGraph(3, ())
         cert = certify(pg, 0)
         assert cert.lower_bound == 0
         assert cert.certified_ratio is None
 
     def test_zero_bound_with_cover_is_a_fault(self):
-        pg = PairGraph(3, frozenset(), frozenset(), ())
+        pg = PairGraph(3, ())
         with pytest.raises(AnalysisFault):
             certify(pg, 2)
 
@@ -166,8 +149,6 @@ class TestCertify:
     def test_multi_component_sum(self):
         pg = PairGraph(
             node_count=8,
-            pair_edges=frozenset({(0, 1), (2, 3), (3, 4)}),
-            cover=frozenset({0, 1, 2, 3, 4}),
             components=(
                 Component(PATH, (0, 1), 1, None),
                 Component(PATH, (2, 3, 4), 2, None),

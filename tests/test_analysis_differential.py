@@ -4,22 +4,22 @@
 `reference_build_pair_graphs` returns (same components, in the same order,
 with the same node order, edge count and removed edge), or raise an
 `AnalysisFault` with the same message: on the corpus, on Hypothesis graphs,
-on long paths and cycles, and on fabricated `CoverResult`s whose pair edges
-and covers no genuine run produces.
+on long paths and cycles, and on fabricated `CoverResult`s whose partner
+arrays and covers no genuine run produces.
 """
 from __future__ import annotations
 
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portvc import AnalysisFault, PortGraph, analyze, build_pair_graphs, run
 from portvc.analysis import PATH
 from portvc.simulator import CoverResult
 
-from conftest import consistent_cycle, cycle, g_from_pairs, load_corpus, path
+from conftest import consistent_cycle, cycle, g_from_pairs, k2, load_corpus, pair_edges, path, star
 from reference_analysis import reference_build_pair_graphs
 from test_properties import port_graphs
 
@@ -64,39 +64,62 @@ def test_paths_and_cycles_match_reference(family, n):
 def fabricated_results(draw):
     """A graph with a `CoverResult` no run produced.
 
-    The pair edges are a random subset of the graph's edges, mostly cut down
-    to pair degree <= 2 so that the decomposition is reached, plus now and
-    then a pair that is not a graph edge. The cover is mostly the set of
+    Each node's partner is drawn: mostly -1 or a neighbour, often one that
+    picked it back (a 2-cycle), now and then -2, n, the node itself or a
+    non-neighbour. The draw is mostly cut down to pair degree <= 2 so that
+    the decomposition is reached. The cover is mostly the set of
     non-isolated nodes, now and then with a node added or dropped.
     """
     g = draw(port_graphs().filter(lambda g: g.num_edges))
     n = g.node_count
-    chosen = draw(st.permutations(sorted(g.edge_set())))
-    if not draw(st.integers(0, 3)):
-        chosen = chosen[: draw(st.integers(min_value=0, max_value=len(chosen)))]
+    partner = [-1] * n
+    for v in draw(st.permutations(range(n))):
+        nbrs = [u for u, _ in g.ports[v]]
+        kind = draw(st.integers(0, 19))
+        picked_v = [u for u in nbrs if partner[u] == v]
+        if kind < 6 or not nbrs:
+            continue
+        if kind < 10 and picked_v:
+            partner[v] = draw(st.sampled_from(picked_v))
+        elif kind < 19:
+            partner[v] = draw(st.sampled_from(nbrs))
+        else:
+            partner[v] = draw(st.sampled_from([-2, n, v] + [u for u in range(n) if u not in nbrs]))
     if draw(st.integers(0, 3)):
-        deg: dict[int, int] = {}
-        kept = []
-        for u, v in chosen:
-            if deg.get(u, 0) < 2 and deg.get(v, 0) < 2:
-                kept.append((u, v))
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-        chosen = kept
-    pair_edges = set(chosen)
-    if not draw(st.integers(0, 9)):
-        node = st.integers(min_value=-1, max_value=n + 1)
-        pair_edges.add((draw(node), draw(node)))
-    cover = {v for e in pair_edges for v in e}
+        deg = [0] * n
+        for v, p in enumerate(partner):
+            if p == -1 or 0 <= p < n and partner[p] == v and p < v:  # none, or counted
+                continue
+            if deg[v] < 2 and (not 0 <= p < n or deg[p] < 2):
+                deg[v] += 1
+                if 0 <= p < n:
+                    deg[p] += 1
+            else:
+                partner[v] = -1
+    cover = {v for e in pair_edges(CoverResult(frozenset(), tuple(partner), 1, 0)) for v in e}
     if not draw(st.integers(0, 4)):
         if cover and draw(st.booleans()):
             cover.discard(draw(st.sampled_from(sorted(cover))))
         else:
             cover.add(draw(st.integers(min_value=0, max_value=n + 1)))
-    return g, CoverResult(frozenset(cover), frozenset(pair_edges), 1, 0)
+    return g, CoverResult(frozenset(cover), tuple(partner), 1, 0)
+
+
+def _fabricated(g: PortGraph, partner: tuple[int, ...]) -> tuple[PortGraph, CoverResult]:
+    """`g` with the given partners, and the non-isolated nodes as the cover."""
+    cover = frozenset(v for e in pair_edges(CoverResult(frozenset(), partner, 1, 0)) for v in e)
+    return g, CoverResult(cover, partner, 1, 0)
 
 
 @given(fabricated_results())
+@example(_fabricated(k2(), (1, 0)))  # a 2-cycle is one pair edge
+@example(_fabricated(path(3), (1, 0, 1)))  # a 2-cycle inside a path
+@example(_fabricated(path(3), (1, -1, 1)))  # two nodes' partner, none of its own
+@example(_fabricated(star(3), (3, 0, 0, -1)))  # the same, plus its own: degree 3
+@example(_fabricated(k2(), (-2, -1)))
+@example(_fabricated(k2(), (2, -1)))  # partner n
+@example(_fabricated(path(3), (2, -1, -1)))  # a non-neighbour
+@example(_fabricated(k2(), (0, -1)))  # the node itself
 @settings(max_examples=1000)
 def test_fabricated_results_match_reference(case):
     _assert_same_pair_graph(*case)

@@ -98,3 +98,23 @@ def test_directed_triangle_yields_a_full_report():
     assert tuple(ra.checks) == CHECK_NAMES
     assert ra.checks["pair-symmetry"] is False
     assert {check for check, ok in ra.checks.items() if ok} == {"cover-valid", "round-bound"}
+
+
+def test_reversed_pair_fails_only_the_projection(monkeypatch):
+    """`projection-equals-cover` compares the double-cover `mate` with
+    `partner` as directed arrays. Reversing one non-reciprocal pair, u's
+    proposal accepted by v read as v's accepted by u, leaves the pair edges,
+    and so the pair-graph checks, as they are."""
+    original = simulator.run
+
+    def reversed_pair(g):
+        result, transcript = original(g)
+        partner = list(result.partner)
+        u = next(u for u, v in enumerate(partner) if v != -1 and partner[v] == -1)
+        partner[partner[u]], partner[u] = u, -1
+        return dataclasses.replace(result, partner=tuple(partner)), transcript
+
+    monkeypatch.setattr(simulator, "run", reversed_pair)
+    ra = analyze(petersen())
+    assert {check for check, ok in ra.checks.items() if not ok} == {"projection-equals-cover"}
+    assert ra.pair_graph == analysis.build_pair_graphs(petersen(), original(petersen())[0])

@@ -19,23 +19,27 @@ from portvc import (
 from portvc.simulator import TranscriptEntry
 
 from conftest import clique, cycle, k2, star
+from reference_double_cover import reference_copy_edges
 from reference_engine import flatten
 
 
 class TestBuildDoubleCover:
+    """The copy edges {B(v), W(u)} that `extract_matching` reads from the
+    port table, materialised by `reference_copy_edges`."""
+
     def test_k2_two_disjoint_edges(self):
-        h = build_double_cover(k2())
-        assert h.edges == frozenset({(0, 3), (1, 2)})
+        assert reference_copy_edges(k2()) == frozenset({(0, 3), (1, 2)})
 
     def test_sizes(self):
         g = cycle(5)
-        h = build_double_cover(g)
-        assert len(h.edges) == 2 * g.num_edges
+        assert len(reference_copy_edges(g)) == 2 * g.num_edges
+
+    def test_empty_matching(self):
+        assert build_double_cover(cycle(5)).mate == (-1,) * 5
 
     def test_triangle_becomes_six_cycle(self):
-        h = build_double_cover(clique(3))
         adj: dict[int, set[int]] = {}
-        for b, w in h.edges:
+        for b, w in reference_copy_edges(clique(3)):
             adj.setdefault(b, set()).add(w)
             adj.setdefault(w, set()).add(b)
         assert all(len(nbrs) == 2 for nbrs in adj.values())
@@ -51,11 +55,10 @@ class TestBuildDoubleCover:
         assert len(seen) == 6
 
     def test_square_becomes_two_squares(self):
-        h = build_double_cover(cycle(4))
         comps = 0
         seen: set[int] = set()
         adj: dict[int, set[int]] = {}
-        for b, w in h.edges:
+        for b, w in reference_copy_edges(cycle(4)):
             adj.setdefault(b, set()).add(w)
             adj.setdefault(w, set()).add(b)
         for v in sorted(adj):
@@ -78,21 +81,20 @@ class TestExtractMatching:
         g = k2()
         _, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
-        assert h.matching == frozenset({(0, 3), (1, 2)})
+        assert h.mate == (1, 0)  # B(0)-W(1) and B(1)-W(0)
 
     def test_star_matching(self):
         g = star(3)
         _, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
-        n = g.node_count
         # leaf 1's proposal accepted by the centre, and vice versa
-        assert h.matching == frozenset({(1, 0 + n), (0, 1 + n)})
+        assert h.mate == (1, 0, -1, -1)
 
     def test_empty_graph_empty_matching(self):
         g = from_edge_list(EdgeList.from_pairs(3, []))
         _, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
-        assert h.matching == frozenset()
+        assert h.mate == (-1, -1, -1)
 
     def test_forged_double_accept_is_a_fault(self):
         g = star(3)
@@ -189,14 +191,14 @@ class TestProjection:
         res, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
         assert project_cover(h) == res.cover == frozenset({0, 1})
-        assert project_matching_edges(h) == res.pair_edges
+        assert project_matching_edges(h) == res.partner
 
     def test_star(self):
         g = star(3)
         res, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
         assert project_cover(h) == frozenset({0, 1})
-        assert project_matching_edges(h) == frozenset({(0, 1)})
+        assert project_matching_edges(h) == (1, 0, -1, -1)
 
     def test_empty_matching_projects_to_nothing(self):
         g = from_edge_list(EdgeList.from_pairs(2, []))
@@ -210,7 +212,7 @@ class TestProjection:
         res, tr = run(g)
         h = extract_matching(build_double_cover(g), tr)
         assert project_cover(h) == res.cover
-        assert project_matching_edges(h) == res.pair_edges
+        assert project_matching_edges(h) == res.partner
 
 
 def _peak_bytes(f, *args) -> int:

@@ -48,7 +48,7 @@ def _assert_same_run(g: PortGraph) -> None:
     assert list(tr.entries) == sorted(tr.entries, key=itemgetter(0, 1, 2))
     assert tr.final_states == ref_tr.final_states
     assert tr.last_active_step == ref_tr.last_active_step
-    assert res == ref_res  # cover, pair_edges, rounds_run, last_active_step
+    assert res == ref_res  # cover, partner, rounds_run, last_active_step
 
 
 @pytest.mark.parametrize("numbering", ["sorted", "random"])
@@ -104,6 +104,6 @@ def test_malformed_tables_fail_like_reference(g):
 @example(PortGraph(4, (((1, 2), (4, 0), (2, 1)), ((2, 2), (0, 1)), ((0, 3), (1, 1)), ((0, 2),))))
 @settings(max_examples=500)
 def test_malformed_tables_never_crash_the_analysis(g):
-    # the example runs to the end, but node 0 sends an accept through its
-    # port 2, which names node 4 of a 4-node graph
+    # in the example node 0 sends an accept through its port 2, which names
+    # node 4 of a 4-node graph: `run` refuses it, and `analyze` with it
     assert _raised(analyze, g) == _raised(run, g)

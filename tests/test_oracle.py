@@ -1,9 +1,10 @@
 import pytest
 
-from portvc import OracleRefusal, brute_force, check_cover, from_edge_list, solve
+from portvc import OracleRefusal, check_cover, from_edge_list, solve
 from portvc.graph import clique_edges, random_bounded_edges
 
 from conftest import clique, cycle, k2, path, petersen, star
+from reference_oracle import brute_force
 
 
 class TestSolve:

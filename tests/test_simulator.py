@@ -12,7 +12,7 @@ from portvc.simulator import (
     replay,
 )
 
-from conftest import consistent_cycle, cycle, g_from_pairs, k2, path, star
+from conftest import consistent_cycle, cycle, g_from_pairs, k2, pair_edges, path, star
 from reference_engine import flatten, reference_run
 
 
@@ -20,7 +20,7 @@ class TestRun:
     def test_k2_mutual_accept(self):
         res, tr = run(k2())
         assert res.cover == frozenset({0, 1})
-        assert res.pair_edges == frozenset({(0, 1)})
+        assert res.partner == (1, 0)
         assert res.rounds_run == 3
         assert res.last_active_step == 2
         kinds = Counter(e.kind for e in tr.entries)
@@ -31,7 +31,7 @@ class TestRun:
         for leaves in (3, 20_000):
             res, _ = run(star(leaves))
             assert res.cover == frozenset({0, 1})
-            assert res.pair_edges == frozenset({(0, 1)})
+            assert pair_edges(res) == frozenset({(0, 1)})
             assert res.rounds_run == 2 * leaves + 1
             assert res.last_active_step == 2
 
@@ -39,7 +39,7 @@ class TestRun:
         g = consistent_cycle(4)
         res, _ = run(g)
         assert res.cover == frozenset({0, 1, 2, 3})
-        assert res.pair_edges == g.edge_set()
+        assert pair_edges(res) == g.edge_set()
 
     def test_isolated_nodes_never_covered(self):
         g = from_edge_list(EdgeList.from_pairs(5, []))
@@ -58,10 +58,10 @@ class TestRun:
         _, tr = run(g)
         for v, st in enumerate(tr.final_states):
             if st.a is not None:
-                assert 1 <= st.a <= g.degree(v)
+                assert 1 <= st.a <= len(g.ports[v])
             if st.b is not None:
-                assert 1 <= st.b <= g.degree(v)
-            assert 0 <= st.i <= g.degree(v) + 1
+                assert 1 <= st.b <= len(g.ports[v])
+            assert 0 <= st.i <= len(g.ports[v]) + 1
 
     def test_message_conservation(self):
         g = permute_ports(cycle(9), 2)
@@ -82,7 +82,7 @@ class TestRun:
         _, tr = run(g)
         proposals = Counter(e.sender for e in tr.entries if e.kind is Msg.PROPOSE)
         for v, count in proposals.items():
-            assert count <= g.degree(v)
+            assert count <= len(g.ports[v])
 
     def test_quiescent_after_two_delta(self):
         for g in [k2(), star(4), cycle(5), path(7)]:
@@ -116,7 +116,7 @@ class TestRun:
 
 class TestMalformedTables:
     """A port table built in code that names no node is refused by `run`,
-    with a `ProtocolFault` naming the proposing node and port."""
+    with a `ProtocolFault` naming the sending node and port."""
 
     @pytest.mark.parametrize("u", [-1, 5])
     def test_proposal_to_no_node_is_refused(self, u):
@@ -134,6 +134,25 @@ class TestMalformedTables:
                           ((0, 3), (4, 1))))
         with pytest.raises(
             ProtocolFault, match=r"^step 3, node 2: proposal on port 2 to node -1, outside 0..3$"
+        ):
+            run(g)
+
+    def test_response_to_no_node_is_refused(self):
+        # node 0 receives proposals on its ports 2 and 3, and accepts the
+        # first through its port 2, whose entry names node 4
+        g = PortGraph(4, (((1, 2), (4, 0), (2, 1)), ((2, 2), (0, 1)), ((0, 3), (1, 1)),
+                          ((0, 2),)))
+        with pytest.raises(
+            ProtocolFault, match=r"^step 2, node 0: accept on port 2 to node 4, outside 0..3$"
+        ):
+            run(g)
+
+    def test_reject_to_no_node_is_refused(self):
+        # node 0 accepts node 1's proposal on port 1 and rejects node 2's on
+        # port 2, through the entry that names node 5
+        g = PortGraph(3, (((1, 1), (5, 1)), ((0, 1),), ((0, 2),)))
+        with pytest.raises(
+            ProtocolFault, match=r"^step 2, node 0: reject on port 2 to node 5, outside 0..2$"
         ):
             run(g)
 
