@@ -124,6 +124,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.cap < 0:
+        raise _UsageError("--cap must be >= 0")
     g = _load_graph(args.input, args.format, args.numbering, args.seed)
     res = oracle.solve(g, cap=args.cap)
     print(json.dumps({
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a graph as an .el file")
-    p_gen.add_argument("kind", choices=("cycle", "path", "clique", "star", "random"))
+    p_gen.add_argument("kind", choices=tuple(graph.GENERATORS))
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--output", "-o", help="output path (default stdout)")

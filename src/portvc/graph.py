@@ -1,4 +1,4 @@
-"""Port-numbered graphs: construction, validation, generators, serialization.
+"""Port-numbered graphs: construction, generators, the `.pg` and `.el` formats.
 
 A `PortGraph` is a simple undirected graph in which every node privately
 orders its incident edges by port numbers 1..d(v). It is the single source
@@ -89,13 +89,6 @@ class PortGraph:
     def num_edges(self) -> int:
         return sum(map(len, self.ports)) // 2
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (v, u) if v < u else (u, v)
-            for v, entries in enumerate(self.ports)
-            for u, _ in entries
-        )
-
 
 def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> PortGraph:
     """Build a PortGraph from per-node neighbour orderings.
@@ -140,39 +133,6 @@ def from_edge_list(el: EdgeList, policy: str = "sorted", seed: int | None = None
     return _from_neighbour_orders(el.node_count, orders)
 
 
-def validate(g: PortGraph) -> list[str]:
-    """Return all invariant violations, empty iff the graph is well formed."""
-    violations: list[str] = []
-    n = g.node_count
-    if len(g.ports) != n:
-        violations.append(f"ports table has {len(g.ports)} rows, expected {n}")
-        return violations
-    for v in range(n):
-        seen_nbrs: set[int] = set()
-        for j, (u, k) in enumerate(g.ports[v], start=1):
-            if not 0 <= u < n:
-                violations.append(f"node {v} port {j}: neighbour {u} out of range")
-                continue
-            if u == v:
-                violations.append(f"node {v} port {j}: self-loop")
-                continue
-            if u in seen_nbrs:
-                violations.append(f"node {v}: parallel edge to {u}")
-            seen_nbrs.add(u)
-            if not 1 <= k <= len(g.ports[u]):
-                violations.append(
-                    f"node {v} port {j}: reciprocal port {k} out of range "
-                    f"1..{len(g.ports[u])} at node {u}"
-                )
-                continue
-            if g.ports[u][k - 1] != (v, j):
-                violations.append(
-                    f"reciprocity violation at node {v} port {j}: "
-                    f"claims ({u}, {k}) but node {u} port {k} is {g.ports[u][k - 1]}"
-                )
-    return violations
-
-
 def permute_ports(g: PortGraph, seed: int) -> PortGraph:
     """Independently shuffle every node's port order with a seeded RNG."""
     rng = random.Random(seed)
@@ -182,16 +142,6 @@ def permute_ports(g: PortGraph, seed: int) -> PortGraph:
         rng.shuffle(nbrs)
         orders.append(nbrs)
     return _from_neighbour_orders(g.node_count, orders)
-
-
-def relabel(g: PortGraph, perm: Sequence[int]) -> PortGraph:
-    """Rename node ids by `perm` (old id -> new id), preserving port structure."""
-    if sorted(perm) != list(range(g.node_count)):
-        raise GraphError("perm must be a permutation of 0..n-1")
-    new_ports: list[tuple[tuple[int, int], ...] | None] = [None] * g.node_count
-    for v in range(g.node_count):
-        new_ports[perm[v]] = tuple((perm[u], k) for u, k in g.ports[v])
-    return PortGraph(g.node_count, tuple(new_ports))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +238,7 @@ def random_bounded_edges(n: int, max_degree: int, p: float, seed: int) -> EdgeLi
 
 
 # kind -> (generator, parameter names, parameter types)
-_GENERATORS = {
+GENERATORS = {
     "cycle": (cycle_edges, ("n",), (int,)),
     "path": (path_edges, ("n",), (int,)),
     "clique": (clique_edges, ("n",), (int,)),
@@ -304,9 +254,9 @@ def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
     the generator expects. A wrong parameter count or a value that does not
     convert raises `GraphError` naming the kind and its parameters.
     """
-    if kind not in _GENERATORS:
+    if kind not in GENERATORS:
         raise GraphError(f"unknown generator kind {kind!r}")
-    make, names, types = _GENERATORS[kind]
+    make, names, types = GENERATORS[kind]
     expected = f"{kind} generator takes params: {' '.join(names)}"
     if len(params) != len(names):
         raise GraphError(f"{expected}; got {len(params)}")
@@ -325,17 +275,8 @@ def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Text formats
 # ---------------------------------------------------------------------------
-
-def serialize(g: PortGraph) -> str:
-    """Port-graph text format: header `n m`, then `v d(v) u_1 .. u_d` per node."""
-    lines = [f"{g.node_count} {g.num_edges}"]
-    for v in range(g.node_count):
-        entries = g.ports[v]
-        lines.append(" ".join([str(v), str(len(entries))] + [str(u) for u, _ in entries]))
-    return "\n".join(lines) + "\n"
-
 
 def _int_tokens(tokens: list[str], line: int) -> list[int]:
     try:
@@ -353,7 +294,9 @@ def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def parse(text: str) -> PortGraph:
-    """Inverse of `serialize`; `#` starts a comment line. Costs O(n + m)."""
+    """Port-graph text format: header `n m`, then one line `v d(v) u_1 .. u_d`
+    per node, listing v's neighbours in port order, port 1 first. Lines may
+    come in any node order; `#` starts a comment line. Costs O(n + m)."""
     rows = list(_rows(text))
     if not rows:
         raise ParseError("empty input, expected `n m` header")

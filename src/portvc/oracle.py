@@ -22,11 +22,11 @@ class OracleResult:
 
 
 def _edges_and_adj(g: PortGraph) -> tuple[list[tuple[int, int]], list[set[int]]]:
-    edges = sorted(g.edge_set())
-    adj: list[set[int]] = [set() for _ in range(g.node_count)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    """The edges (v, u), v < u, in sorted order, and each node's neighbour
+    set. The search branches on the first uncovered edge in this order, so
+    the order fixes `explored_nodes` and the cover found."""
+    adj = [{u for u, _ in row} for row in g.ports]
+    edges = [(v, u) for v, nbrs in enumerate(adj) for u in sorted(nbrs) if v < u]
     return edges, adj
 
 

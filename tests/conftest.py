@@ -5,8 +5,15 @@ import pathlib
 
 import pytest
 
-from portvc import EdgeList, PortGraph, from_edge_list
-from portvc.graph import clique_edges, cycle_edges, path_edges, star_edges
+from portvc.graph import (
+    EdgeList,
+    PortGraph,
+    clique_edges,
+    cycle_edges,
+    from_edge_list,
+    path_edges,
+    star_edges,
+)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 

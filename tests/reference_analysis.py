@@ -15,6 +15,8 @@ from portvc.errors import AnalysisFault
 from portvc.graph import PortGraph
 from portvc.simulator import CoverResult
 
+from reference_graph import edge_set
+
 
 def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     """Decompose the pair edges into path/cycle components.
@@ -27,7 +29,7 @@ def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     edges = frozenset(
         (v, u) if v < u else (u, v) for v, u in enumerate(result.partner) if u != -1
     )
-    if not edges <= g.edge_set():
+    if not edges <= edge_set(g):
         raise AnalysisFault("pair edges are not a subset of the graph's edges")
     adj: dict[int, list[int]] = {}
     for u, v in edges:

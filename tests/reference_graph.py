@@ -4,20 +4,87 @@
 and derives ports through a tuple-keyed dict, one entry per port, as do
 `reference_from_edge_list` and `reference_permute_ports`.
 `reference_check_cover` and `reference_double_cover_edges` read the graph
-through `edge_set()`.
+through `edge_set`.
 `reference_random_bounded_edges` shuffles all C(n,2) pairs and keeps each
 with probability p. `reference_parse_edge_list` reads `.el` text line by
 line and checks each pair in turn, refusing the first bad one. They are the
 specifications the linear-time and bulk code in `portvc.graph` and
 `portvc.analysis` is checked against; `reference_double_cover_edges` is
 the one the port-table view of the double cover is checked against.
+
+`edge_set`, `validate`, `relabel` and `serialize` are graph helpers that
+only the tests use: a port table's undirected edges, the list of its broken
+invariants, a renaming of its nodes, and the `.pg` text that
+`portvc.graph.parse` reads.
 """
 from __future__ import annotations
 
 import random
 
-from portvc.errors import ParseError
+from typing import Sequence
+
+from portvc.errors import GraphError, ParseError
 from portvc.graph import MAX_EDGE_LIST_NODES, EdgeList, PortGraph
+
+
+def edge_set(g: PortGraph) -> frozenset[tuple[int, int]]:
+    return frozenset(
+        (v, u) if v < u else (u, v)
+        for v, entries in enumerate(g.ports)
+        for u, _ in entries
+    )
+
+
+def validate(g: PortGraph) -> list[str]:
+    """Return all invariant violations, empty iff the graph is well formed."""
+    violations: list[str] = []
+    n = g.node_count
+    if len(g.ports) != n:
+        violations.append(f"ports table has {len(g.ports)} rows, expected {n}")
+        return violations
+    for v in range(n):
+        seen_nbrs: set[int] = set()
+        for j, (u, k) in enumerate(g.ports[v], start=1):
+            if not 0 <= u < n:
+                violations.append(f"node {v} port {j}: neighbour {u} out of range")
+                continue
+            if u == v:
+                violations.append(f"node {v} port {j}: self-loop")
+                continue
+            if u in seen_nbrs:
+                violations.append(f"node {v}: parallel edge to {u}")
+            seen_nbrs.add(u)
+            if not 1 <= k <= len(g.ports[u]):
+                violations.append(
+                    f"node {v} port {j}: reciprocal port {k} out of range "
+                    f"1..{len(g.ports[u])} at node {u}"
+                )
+                continue
+            if g.ports[u][k - 1] != (v, j):
+                violations.append(
+                    f"reciprocity violation at node {v} port {j}: "
+                    f"claims ({u}, {k}) but node {u} port {k} is {g.ports[u][k - 1]}"
+                )
+    return violations
+
+
+def relabel(g: PortGraph, perm: Sequence[int]) -> PortGraph:
+    """Rename node ids by `perm` (old id -> new id), preserving port structure."""
+    if sorted(perm) != list(range(g.node_count)):
+        raise GraphError("perm must be a permutation of 0..n-1")
+    new_ports: list[tuple[tuple[int, int], ...] | None] = [None] * g.node_count
+    for v in range(g.node_count):
+        new_ports[perm[v]] = tuple((perm[u], k) for u, k in g.ports[v])
+    return PortGraph(g.node_count, tuple(new_ports))  # type: ignore[arg-type]
+
+
+def serialize(g: PortGraph) -> str:
+    """Port-graph text format: header `n m`, then `v d(v) u_1 .. u_d` per node."""
+    lines = [f"{g.node_count} {g.num_edges}"]
+    for v in range(g.node_count):
+        entries = g.ports[v]
+        lines.append(" ".join([str(v), str(len(entries))] + [str(u) for u, _ in entries]))
+    return "\n".join(lines) + "\n"
 
 
 def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
@@ -157,13 +224,13 @@ def reference_parse_edge_list(text: str) -> EdgeList:
 
 def reference_check_cover(g: PortGraph, cover) -> bool:
     cover = set(cover)
-    return all(u in cover or v in cover for u, v in g.edge_set())
+    return all(u in cover or v in cover for u, v in edge_set(g))
 
 
 def reference_double_cover_edges(g: PortGraph) -> frozenset[tuple[int, int]]:
     n = g.node_count
     edges = set()
-    for u, v in g.edge_set():
+    for u, v in edge_set(g):
         edges.add((u, v + n))
         edges.add((v, u + n))
     return frozenset(edges)

@@ -13,6 +13,8 @@ from portvc.errors import OracleRefusal
 from portvc.graph import PortGraph
 from portvc.oracle import OracleResult
 
+from reference_graph import edge_set
+
 BRUTE_FORCE_CAP = 20
 
 
@@ -21,7 +23,7 @@ def brute_force(g: PortGraph) -> OracleResult:
     n = g.node_count
     if n > BRUTE_FORCE_CAP:
         raise OracleRefusal(f"instance has {n} nodes, brute-force cap is {BRUTE_FORCE_CAP}")
-    edges = sorted(g.edge_set())
+    edges = sorted(edge_set(g))
     if not edges:
         return OracleResult(0, frozenset(), 1)
     checked = 0

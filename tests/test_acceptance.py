@@ -12,35 +12,38 @@ from fractions import Fraction
 
 import pytest
 
-from portvc import (
-    EdgeList,
-    analyze,
-    build_double_cover,
+from portvc.analysis import (
+    CYCLE,
+    PATH,
+    Component,
+    PairGraph,
     build_pair_graphs,
     certify,
     check_cover,
+)
+from portvc.checks import analyze
+from portvc.double_cover import (
+    build_double_cover,
     extract_matching,
-    from_edge_list,
-    parse,
     project_cover,
     project_matching_edges,
-    relabel,
-    replay,
-    run,
-    solve,
 )
-from portvc.analysis import CYCLE, PATH, Component, PairGraph
 from portvc.graph import (
+    EdgeList,
     clique_edges,
     cycle_edges,
+    from_edge_list,
+    parse,
     path_edges,
     random_bounded_edges,
     star_edges,
 )
-from portvc.simulator import format_transcript
+from portvc.oracle import solve
+from portvc.simulator import format_transcript, replay, run
 
 from conftest import consistent_cycle, g_from_pairs, load_corpus, pair_edges, petersen
 from reference_engine import reference_run
+from reference_graph import relabel
 from test_golden import TIGHT6
 
 THREE = Fraction(3)

@@ -1,6 +1,7 @@
 import pytest
 
-from portvc import Msg, NodeState, ProtocolFault, even_step, odd_step
+from portvc.algorithm import Msg, NodeState, even_step, odd_step
+from portvc.errors import ProtocolFault
 
 
 class TestOddStep:

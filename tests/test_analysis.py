@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from portvc import (
-    AnalysisFault,
-    EdgeList,
-    PortGraph,
+from portvc.algorithm import NodeState
+from portvc.analysis import (
+    CYCLE,
+    PATH,
+    Component,
+    PairGraph,
     build_pair_graphs,
     certify,
     check_cover,
-    from_edge_list,
-    run,
+    check_pair_symmetry,
 )
-from portvc.algorithm import NodeState
-from portvc.analysis import CYCLE, PATH, Component, PairGraph, check_pair_symmetry
+from portvc.errors import AnalysisFault
+from portvc.graph import EdgeList, PortGraph, from_edge_list
+from portvc.simulator import run
 
 from conftest import consistent_cycle, cycle, k2, star
 

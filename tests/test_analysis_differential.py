@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portvc import AnalysisFault, PortGraph, analyze, build_pair_graphs, run
-from portvc.analysis import PATH
-from portvc.simulator import CoverResult
+from portvc.analysis import PATH, build_pair_graphs
+from portvc.checks import analyze
+from portvc.errors import AnalysisFault
+from portvc.graph import PortGraph
+from portvc.simulator import CoverResult, run
 
 from conftest import consistent_cycle, cycle, g_from_pairs, k2, load_corpus, pair_edges, path, star
 from reference_analysis import reference_build_pair_graphs

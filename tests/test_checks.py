@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from portvc import PortGraph, analysis, double_cover, run, simulator
+from portvc import analysis, double_cover, simulator
 from portvc.checks import CHECK_NAMES, analyze
 from portvc.errors import AnalysisFault
+from portvc.graph import PortGraph
+from portvc.simulator import run
 
 from conftest import petersen
 

@@ -156,6 +156,8 @@ class TestGen:
 
     def test_bad_params_usage_error(self, capsys):
         for argv, message in (
+            (("bogus", "3"), "argument kind: invalid choice: 'bogus' "
+                             "(choose from 'cycle', 'path', 'clique', 'star', 'random')"),
             (("cycle", "2"), "cycle needs n >= 3, got 2"),
             (("random", "10", "3", "0.5"), "random generator requires --seed"),
             (("cycle",), "cycle generator takes params: n; got 0"),
@@ -218,6 +220,14 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--input", k2_el, "--cap", "1")
         assert code == EXIT_ORACLE
         assert "oracle refusal" in err
+
+    def test_negative_cap_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "empty.el"
+        p.write_text("0\n")
+        # refused before the input is read, so a missing file gives the same error
+        for path in (str(p), str(tmp_path / "missing.el")):
+            code, out, err = run_cli(capsys, "oracle", "--input", path, "--cap", "-1")
+            assert (code, out, err) == (EXIT_USAGE, "", "usage error: --cap must be >= 0\n")
 
     def test_search_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
         p = str(tmp_path / "p.el")

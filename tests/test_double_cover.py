@@ -2,21 +2,17 @@ import tracemalloc
 
 import pytest
 
-from portvc import (
-    AnalysisFault,
-    EdgeList,
-    Msg,
-    PortGraph,
-    analyze,
+from portvc.algorithm import Msg
+from portvc.checks import analyze
+from portvc.double_cover import (
     build_double_cover,
     extract_matching,
-    from_edge_list,
-    permute_ports,
     project_cover,
     project_matching_edges,
-    run,
 )
-from portvc.simulator import TranscriptEntry
+from portvc.errors import AnalysisFault
+from portvc.graph import EdgeList, PortGraph, from_edge_list, permute_ports
+from portvc.simulator import TranscriptEntry, run
 
 from conftest import clique, cycle, k2, star
 from reference_double_cover import reference_copy_edges

@@ -17,8 +17,11 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from portvc import AnalysisFault, Msg, PortGraph, build_double_cover, extract_matching, run
-from portvc.simulator import TranscriptEntry
+from portvc.algorithm import Msg
+from portvc.double_cover import build_double_cover, extract_matching
+from portvc.errors import AnalysisFault
+from portvc.graph import PortGraph
+from portvc.simulator import TranscriptEntry, run
 
 from conftest import g_from_pairs, load_corpus
 from reference_double_cover import reference_copy_edges, reference_extract_matching

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portvc import PortGraph, analyze, run
+from portvc.checks import analyze
+from portvc.graph import PortGraph
+from portvc.simulator import run
 
 from conftest import g_from_pairs, load_corpus
 from reference_engine import reference_run

@@ -23,6 +23,8 @@ import pytest
 from portvc import graph
 from portvc.cli import main
 
+from reference_graph import serialize
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 GEN_ARGV = ("gen", "random", "12", "3", "0.4", "--seed", "5")
@@ -103,7 +105,7 @@ def _regenerate() -> None:
         ("cycle7.el", graph.serialize_edge_list(graph.cycle_edges(7))),
         ("star5.el", graph.serialize_edge_list(graph.star_edges(5))),
         ("path6.el", graph.serialize_edge_list(graph.path_edges(6))),
-        ("clique6.pg", graph.serialize(
+        ("clique6.pg", serialize(
             graph.permute_ports(graph.from_edge_list(graph.clique_edges(6)), 7))),
         ("random12.el", _cli(GEN_ARGV)[1]),
         ("tight6.pg", TIGHT6),

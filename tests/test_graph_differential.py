@@ -7,9 +7,9 @@ anything but `ParseError`. `parse_edge_list`, whose bulk pass reads the
 form `serialize_edge_list` writes, must agree the same way with the
 line-by-line `reference_parse_edge_list`: on every corpus graph, on
 Hypothesis edge lists, on those texts with one perturbation each, and on
-arbitrary text. `check_cover` must agree with its `edge_set()`-based
+arbitrary text. `check_cover` must agree with its `edge_set`-based
 reference, and the copy edges read off a built port table, which
-`extract_matching` walks, with the two copies of every `edge_set()` edge. `from_edge_list`, under
+`extract_matching` walks, with the two copies of every `edge_set` edge. `from_edge_list`, under
 each numbering policy, and `permute_ports` must derive the same reciprocal
 ports as the tuple-keyed dict of the reference. `random_bounded_edges` must
 draw from the same distribution as `reference_random_bounded_edges`, and
@@ -24,19 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portvc import (
+from portvc.analysis import check_cover
+from portvc.errors import ParseError
+from portvc.graph import (
+    MAX_EDGE_LIST_NODES,
     EdgeList,
-    ParseError,
-    check_cover,
     from_edge_list,
     parse,
     parse_edge_list,
     permute_ports,
-    serialize,
+    random_bounded_edges,
     serialize_edge_list,
 )
-from portvc.graph import MAX_EDGE_LIST_NODES, random_bounded_edges
 
+from conftest import load_corpus
+from reference_double_cover import reference_copy_edges
 from reference_graph import (
     reference_check_cover,
     reference_double_cover_edges,
@@ -45,9 +47,8 @@ from reference_graph import (
     reference_parse_edge_list,
     reference_permute_ports,
     reference_random_bounded_edges,
+    serialize,
 )
-from conftest import load_corpus
-from reference_double_cover import reference_copy_edges
 from test_engine_differential import port_tables
 from test_properties import edge_lists, port_graphs
 

@@ -1,9 +1,12 @@
 import pytest
 
-from portvc import OracleRefusal, check_cover, from_edge_list, solve
-from portvc.graph import clique_edges, random_bounded_edges
+from portvc.analysis import check_cover
+from portvc.errors import OracleRefusal
+from portvc.graph import clique_edges, from_edge_list, permute_ports, random_bounded_edges
+from portvc.oracle import _edges_and_adj, solve
 
-from conftest import clique, cycle, k2, path, petersen, star
+from conftest import clique, cycle, g_from_pairs, k2, load_corpus, path, petersen, star
+from reference_graph import edge_set
 from reference_oracle import brute_force
 
 
@@ -46,6 +49,18 @@ class TestSolve:
             solve(path(1000), cap=1000)
 
 
+    def test_edges_in_sorted_order(self):
+        # the edge order fixes the branching, so `explored_nodes` and the cover.
+        # In CPython a set of ints below 8 iterates in ascending order, so the
+        # corpus alone cannot tell a sorted neighbour set from an unsorted one:
+        # add a graph on 32 nodes, the default cap.
+        graphs = [g_from_pairs(n, pairs) for n, pairs in load_corpus()]
+        graphs.append(from_edge_list(random_bounded_edges(32, 4, 0.2, 1)))
+        for g in graphs:
+            for h in (g, permute_ports(g, 3)):
+                assert _edges_and_adj(h)[0] == sorted(edge_set(h)), h
+
+
 class TestBruteForce:
     def test_path_of_three(self):
         res = brute_force(path(3))
@@ -59,7 +74,7 @@ class TestBruteForce:
         assert brute_force(cycle(6)).optimum_size == 3
 
     def test_empty_graph(self):
-        from portvc import EdgeList
+        from portvc.graph import EdgeList
 
         g = from_edge_list(EdgeList.from_pairs(4, []))
         assert brute_force(g).optimum_size == 0
@@ -86,6 +101,6 @@ class TestCrossValidation:
         nx = pytest.importorskip("networkx")
         for maker, arg in [(cycle, 6), (cycle, 8), (path, 7), (star, 5)]:
             g = maker(arg)
-            ng = nx.Graph(list(g.edge_set()))
+            ng = nx.Graph(list(edge_set(g)))
             matching = nx.max_weight_matching(ng, maxcardinality=True)
             assert solve(g).optimum_size == len(matching)

@@ -3,17 +3,21 @@ from collections import Counter
 
 import pytest
 
-from portvc import EdgeList, Msg, PortGraph, ProtocolFault, from_edge_list, permute_ports, run
+from portvc.algorithm import Msg
+from portvc.errors import ProtocolFault
+from portvc.graph import EdgeList, PortGraph, from_edge_list, permute_ports
 from portvc.simulator import (
     TranscriptEntry,
     format_transcript,
     horizon_for,
     parse_transcript,
     replay,
+    run,
 )
 
 from conftest import consistent_cycle, cycle, g_from_pairs, k2, pair_edges, path, star
 from reference_engine import flatten, reference_run
+from reference_graph import edge_set
 
 
 class TestRun:
@@ -39,7 +43,7 @@ class TestRun:
         g = consistent_cycle(4)
         res, _ = run(g)
         assert res.cover == frozenset({0, 1, 2, 3})
-        assert pair_edges(res) == g.edge_set()
+        assert pair_edges(res) == edge_set(g)
 
     def test_isolated_nodes_never_covered(self):
         g = from_edge_list(EdgeList.from_pairs(5, []))
@@ -172,7 +176,7 @@ class TestTranscriptText:
         )
 
     def test_parse_rejects_garbage(self):
-        from portvc import ProtocolFault
+        from portvc.errors import ProtocolFault
 
         with pytest.raises(ProtocolFault, match="line 1"):
             parse_transcript("1 0 propose\n")
@@ -182,7 +186,7 @@ class TestTranscriptText:
         assert parse_transcript(text) == ()
 
     def test_error_line_numbers_count_skipped_lines(self):
-        from portvc import ProtocolFault
+        from portvc.errors import ProtocolFault
 
         with pytest.raises(ProtocolFault, match=r"^transcript line 4: expected `t v port kind`$"):
             parse_transcript("# c\n1 0 1 propose\n\n1 0 propose\n")

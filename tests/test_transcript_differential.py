@@ -15,8 +15,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portvc import ProtocolFault, run
-from portvc.simulator import format_transcript, parse_transcript
+from portvc.errors import ProtocolFault
+from portvc.simulator import format_transcript, parse_transcript, run
 
 from conftest import g_from_pairs, load_corpus
 from reference_engine import flatten, reference_format_transcript, reference_parse_transcript
