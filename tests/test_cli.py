@@ -307,6 +307,18 @@ class TestVerify:
         assert code == EXIT_INVARIANT
         assert json.loads(out)["violations"] != []
 
+    def test_violation_text_and_order(self, capsys, k2_el, tmp_path):
+        # claimed entries not derivable, sorted, then missing entries, sorted
+        trace = tmp_path / "t.trace"
+        trace.write_text("1 0 1 propose\n1 1 1 propose\n2 0 1 reject\n2 1 1 accept\n"
+                         "2 1 1 accept\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", k2_el, "--trace", str(trace))
+        assert code == EXIT_INVARIANT
+        assert out == (
+            '{"violations": ["claimed entry not derivable: (2, 0, 1, \'reject\')", '
+            '"claimed entry not derivable: (2, 1, 1, \'accept\')", '
+            '"missing entry: (2, 0, 1, \'accept\')"]}\n')
+
 
 class TestFailingChecks:
     def test_failed_check_still_prints_the_full_report(self, capsys, monkeypatch, star3_el):
