@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
@@ -159,6 +160,24 @@ class TestMalformedTables:
             ProtocolFault, match=r"^step 2, node 0: reject on port 2 to node 5, outside 0..2$"
         ):
             run(g)
+
+    @pytest.mark.parametrize("ports, message", [
+        # a response sent at step 4: node 0 rejects node 2, which proposes to
+        # node 1; node 1, already paired with node 0, rejects it through the
+        # entry that names node 9
+        ((((1, 1), (2, 1)), ((0, 1), (9, 1)), ((0, 2), (1, 2))),
+         "step 4, node 1: reject on port 2 to node 9, outside 0..2"),
+        # nodes 0 and 3 each reject one proposal toward no node at step 2;
+        # the first sent, node 0's, is named
+        ((((1, 1), (7, 1)), ((0, 1),), ((0, 2),), ((4, 1), (8, 1)), ((3, 1),), ((3, 2),)),
+         "step 2, node 0: reject on port 2 to node 7, outside 0..5"),
+        # proposals to nodes -1 and 9 at step 1: both ends of the range fail
+        ((((1, 1),), ((-1, 1),), ((9, 1),)),
+         "step 1, node 1: proposal on port 1 to node -1, outside 0..2"),
+    ])
+    def test_first_send_to_no_node_is_named(self, ports, message):
+        with pytest.raises(ProtocolFault, match=rf"^{re.escape(message)}$"):
+            run(PortGraph(len(ports), ports))
 
 
 class TestTranscriptText:
