@@ -9,8 +9,8 @@ fail together, and `certified-ratio-le-3` fails with them because the
 certificate is computed from the pair graph. Pair symmetry is a verdict
 like the others. `projection-equals-cover` compares two independent
 derivations of the run: the projected cover with `CoverResult.cover`, and
-the double-cover `mate` array, read from the transcript's accepts, with
-`CoverResult.partner`, read from the engine's states. The second is
+the double-cover `mate` array, read from the accepts in `Transcript.flat`,
+with `CoverResult.partner`, read from the engine's states. The second is
 directed: node u's proposal accepted by v on one side, u's partner v on
 the other. A failed check still yields a full report (`vc` prints it
 and exits 3); only a `ProtocolFault` from the engine ends `vc` with no report.
@@ -65,7 +65,7 @@ def analyze(g: PortGraph) -> RunAnalysis:
         None if pair_graph is None else _or_none(analysis.certify, pair_graph, result.cover_size)
     )
     ratio = certificate.certified_ratio if certificate else None
-    h = _or_none(double_cover.extract_matching, double_cover.build_double_cover(g), transcript)
+    h = _or_none(double_cover.extract_matching, double_cover.build_double_cover(g), transcript.flat)
     checks = {
         "cover-valid": analysis.check_cover(g, result.cover),
         "pair-symmetry": bool(_or_none(analysis.check_pair_symmetry, g, transcript.final_states)),

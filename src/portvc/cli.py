@@ -108,7 +108,7 @@ def cmd_run(args) -> int:
     report, all_pass = _report_for(g, args.with_oracle)
     if args.trace:
         _, transcript = simulator.run(g)
-        _write_text(args.trace, simulator.format_transcript(transcript))
+        _write_text(args.trace, simulator.format_transcript(transcript.flat))
     print(json.dumps(report))
     return EXIT_OK if all_pass else EXIT_INVARIANT
 

@@ -3,10 +3,10 @@
 Every node v has a black copy B(v) = v and a white copy W(v) = v + n; the
 bipartition is implicit in the ids. Each port entry (v -> u) is the copy
 edge {B(v), W(u)}, so the port table already is the cover and `DoubleCover`
-only views it. The accepted proposals of a run form a maximal matching in
-it, checked in O(n + m) with no m-sized edge set, and held as `mate`, one
-int per black copy. Projecting the matched copies back recovers the
-cover, and on a genuine run `mate` equals the run's `CoverResult.partner`.
+only views it. The accepts in a run's flat transcript form a maximal
+matching in it, checked in O(n + m) with no m-sized edge set, and held as
+`mate`, one int per black copy. Projecting the matched copies back recovers
+the cover, and on a genuine run `mate` equals the run's `CoverResult.partner`.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from itertools import compress
 
 from .errors import AnalysisFault
 from .graph import PortGraph
-from .simulator import Transcript
 
 
 @dataclass(frozen=True)
@@ -35,19 +34,18 @@ def build_double_cover(g: PortGraph) -> DoubleCover:
     return DoubleCover(g, (-1,) * g.node_count)
 
 
-def extract_matching(h: DoubleCover, t: Transcript | tuple[int | str, ...]) -> DoubleCover:
-    """Fill the matching from a run's accepted proposals, in O(n + m).
+def extract_matching(h: DoubleCover, flat: tuple[int | str, ...]) -> DoubleCover:
+    """Fill the matching from the accepts of a flat transcript, in O(n + m).
 
     An `accept` sent by v on port j answers the proposal of the neighbour u
     behind that port, matching {B(u), W(v)}. Matching-ness and maximality
     are asserted, never assumed: either failing would falsify the protocol's
     maximal-matching guarantee. Maximality holds when every port entry
     (v -> u) has B(v) or W(u) matched; a fault names the first entry, in
-    (v, port) order, with neither. `t` is a transcript or its flat form.
+    (v, port) order, with neither.
     """
     ports = h.graph.ports
     n = h.graph.node_count
-    flat = t.flat if isinstance(t, Transcript) else t
     mate = [-1] * n
     white = [False] * n  # white[v]: W(v) is matched
     # the offset in `flat` of each accept, in transcript order

@@ -12,6 +12,7 @@ from .errors import OracleRefusal
 from .graph import PortGraph
 
 DEFAULT_CAP = 32
+NODE_LIMIT = 10_000_000  # search tree nodes before `solve` refuses
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,13 @@ def _matching_bound(edges: list[tuple[int, int]], covered: set[int]) -> int:
     return size
 
 
-def solve(g: PortGraph, node_limit: int = 10_000_000, cap: int = DEFAULT_CAP) -> OracleResult:
+def solve(g: PortGraph, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact optimum by branch and bound.
 
     Branches on an uncovered edge {u, v}: either u joins the cover, or u is
     excluded, forcing all of u's neighbours in. Pruned by the incumbent and
     a greedy-matching lower bound. Refuses instances over `cap` nodes, and
-    searches over `node_limit` tree nodes or deeper than the recursion limit.
+    searches over `NODE_LIMIT` tree nodes or deeper than the recursion limit.
     """
     n = g.node_count
     if n > cap:
@@ -59,7 +60,7 @@ def solve(g: PortGraph, node_limit: int = 10_000_000, cap: int = DEFAULT_CAP) ->
     if not edges:
         return OracleResult(0, frozenset(), 1)
 
-    search = _Search(edges, adj, n, node_limit)
+    search = _Search(edges, adj, n)
     try:
         search.recurse(set())
     except RecursionError:  # about one level per cover node
@@ -76,20 +77,18 @@ class _Search:
     itself and leaves no reference cycle behind.
     """
 
-    def __init__(self, edges: list[tuple[int, int]], adj: list[set[int]], n: int,
-                 node_limit: int):
+    def __init__(self, edges: list[tuple[int, int]], adj: list[set[int]], n: int):
         self.edges = edges
         self.adj = adj
-        self.node_limit = node_limit
         self.best_size = n
         self.best_cover: set[int] = set(range(n))
         self.explored = 0
 
     def recurse(self, cover: set[int]) -> None:
         self.explored += 1
-        if self.explored > self.node_limit:
+        if self.explored > NODE_LIMIT:
             raise OracleRefusal(
-                f"search budget of {self.node_limit} nodes exceeded; "
+                f"search budget of {NODE_LIMIT} nodes exceeded; "
                 f"best cover found so far has size {self.best_size}"
             )
         if len(cover) >= self.best_size:

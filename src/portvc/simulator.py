@@ -2,9 +2,11 @@
 
 Time steps are 1-based; step 1 is odd. A message sent at step t through
 port j of node v is delivered at step t+1 on the reciprocal port of the
-neighbour. Every send is recorded in a transcript, as four slots of one flat
-tuple: step, sender, sender port and kind text. `Transcript.entries` builds
-one `TranscriptEntry` per send from it, when something first reads it.
+neighbour. Every send is recorded as four slots of one flat tuple, the
+transcript: step, sender, sender port and kind text. `run` returns it as
+`Transcript.flat`, and every other transcript function takes or gives only
+that form. `Transcript.entries` builds one `TranscriptEntry` per send from
+it, when something first reads it.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
 reports it. The engine steps only the nodes with a message in flight: step 1
@@ -16,8 +18,8 @@ proposes at most d(v) times, so a run costs O(n + m).
 The pure transition functions in `algorithm` remain the specification: any
 delivery the engine does not expect is handed to them, so a malformed port
 table raises the same `ProtocolFault` they raise. A proposal, accept or
-reject sent through a port entry that names no node is refused by the
-engine itself, naming the sending node and port.
+reject sent through a port entry that names no node is refused at the
+next step, which names the first such send of its step, in send order.
 
 `CoverResult.partner` holds the run's pair relation as one int per node:
 the neighbour behind the port of its accepted proposal, or -1.
@@ -54,7 +56,6 @@ class Transcript:
 
     flat: tuple[int | str, ...]
     final_states: tuple[NodeState, ...]
-    last_active_step: int
 
     @cached_property
     def entries(self) -> tuple[TranscriptEntry, ...]:
@@ -95,6 +96,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     horizon = horizon_for(g)
     flat: list[int | str] = []
     extend = flat.extend
+    sent = 0  # where the current step's sends begin in `flat`
     last_active = 0
     # deliveries for the current step: (port, response) pairs at odd steps,
     # proposal ports at even steps, each list in arrival order
@@ -103,18 +105,12 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     proposers: range | list[int] = range(n)  # step 1 scans every node
 
     for t in range(1, horizon + 1):
-        sent = len(flat)
+        begun, sent = sent, len(flat)  # step t - 1 sent flat[begun:sent]
         if t % 2:
             visit = proposers
             if responses and not responses.keys() <= set(proposers):
                 if not all(0 <= u < n for u in responses):
-                    # name the first response of step t - 1, in send order,
-                    # whose port entry names no node
-                    v, j, kind = next(
-                        flat[x + 1 : x + 4] for x in range(0, len(flat), 4)
-                        if flat[x] == t - 1 and not 0 <= ports[flat[x + 1]][flat[x + 2] - 1][0] < n)
-                    raise ProtocolFault(f"step {t - 1}, node {v}: {kind} on port {j} to node "
-                                        f"{ports[v][j - 1][0]}, outside 0..{n - 1}")
+                    _refuse_send(flat[begun:sent], ports, n)
                 # a response reached a node with no proposal out: visit in id
                 # order, so that the fault raised is the lowest node's
                 visit = sorted(set(proposers).union(responses))
@@ -145,12 +141,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
             responses = defaultdict(list)
             receivers = sorted(proposals)
             if receivers and (receivers[0] < 0 or receivers[-1] >= n):
-                # name the first proposer, in id order, whose port names no node
-                v = next(v for v in proposers if not 0 <= ports[v][i[v] - 1][0] < n)
-                u = ports[v][i[v] - 1][0]
-                raise ProtocolFault(
-                    f"step {t - 1}, node {v}: proposal on port {i[v]} to node {u}, "
-                    f"outside 0..{n - 1}")
+                _refuse_send(flat[begun:sent], ports, n)
             for v in receivers:
                 arrived = proposals[v]
                 box = sorted(arrived) if len(arrived) > 1 else arrived
@@ -181,9 +172,7 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     cover = frozenset(v for v in range(n) if c[v])
     # v's accepted proposal went to the neighbour behind port a[v]
     partner = tuple([-1 if av is None else row[av - 1][0] for row, av in zip(ports, a)])
-    result = CoverResult(cover, partner, horizon, last_active)
-    transcript = Transcript(tuple(flat), states, last_active)
-    return result, transcript
+    return CoverResult(cover, partner, horizon, last_active), Transcript(tuple(flat), states)
 
 
 def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
@@ -195,14 +184,26 @@ def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
     raise AssertionError(f"step {t}, node {v}: {transition.__name__} accepted {inbox!r}")
 
 
+def _refuse_send(sends: list[int | str], ports, n: int) -> NoReturn:
+    """Raise for the first of one step's `sends` whose port entry names no node."""
+    for x in range(0, len(sends), 4):
+        t, v, j, kind = sends[x : x + 4]
+        u = ports[v][j - 1][0]
+        if not 0 <= u < n:
+            kind = "proposal" if kind == "propose" else kind
+            raise ProtocolFault(f"step {t}, node {v}: {kind} on port {j} to node {u}, "
+                                f"outside 0..{n - 1}")
+    raise AssertionError(f"every send at step {sends[0]} names a node")
+
+
 # ---------------------------------------------------------------------------
 # Transcript text format and replay
 # ---------------------------------------------------------------------------
 
-def format_transcript(t: Transcript) -> str:
-    """One `t v port kind` line per send, in the order of `t.flat`: the
-    (t, v, port) order in which `run` emits them."""
-    return ("%d %d %d %s\n" * (len(t.flat) // 4)) % t.flat
+def format_transcript(flat: tuple[int | str, ...]) -> str:
+    """One `t v port kind` line per send of the flat form, in its order: for
+    `Transcript.flat`, the (t, v, port) order in which `run` emits them."""
+    return ("%d %d %d %s\n" * (len(flat) // 4)) % flat
 
 
 # `format_transcript`'s form, one `t v port kind` line per send, checked as
@@ -240,25 +241,13 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
     return tuple(flat)
 
 
-def replay(g: PortGraph, t: Transcript | tuple[int | str, ...]) -> list[str]:
-    """Re-derive a transcript from scratch and report every divergence from
-    `t`, a transcript or its flat form."""
-    _, fresh = run(g)
-    flat = t.flat if isinstance(t, Transcript) else t
-    violations = []
-    if flat != fresh.flat:  # a differing order alone is no violation
-        claimed, derived = (
-            Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, fresh.flat))
-        for entry in sorted((claimed - derived).elements()):
-            violations.append(f"claimed entry not derivable: {entry}")
-        for entry in sorted((derived - claimed).elements()):
-            violations.append(f"missing entry: {entry}")
-    if isinstance(t, Transcript):
-        if t.last_active_step != fresh.last_active_step:
-            violations.append(
-                f"last_active_step mismatch: claimed {t.last_active_step}, "
-                f"derived {fresh.last_active_step}"
-            )
-        if t.final_states != fresh.final_states:
-            violations.append("final states diverge")
-    return violations
+def replay(g: PortGraph, flat: tuple[int | str, ...]) -> list[str]:
+    """Re-derive the transcript from scratch and report every send in which
+    the flat form `flat` differs from it: claimed sends not derivable, then
+    derivable sends missing, each sorted. A differing order alone is none."""
+    derived = run(g)[1].flat
+    if flat == derived:
+        return []
+    claimed, derived = (Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, derived))
+    return ([f"claimed entry not derivable: {e}" for e in sorted((claimed - derived).elements())]
+            + [f"missing entry: {e}" for e in sorted((derived - claimed).elements())])

@@ -115,5 +115,5 @@ def reference_run(
     # as in `run`: v's accepted proposal went to the neighbour behind port a
     partner = tuple(g.ports[v][st.a - 1][0] if st.a else -1 for v, st in enumerate(states))
     result = CoverResult(cover, partner, steps, last_active)
-    transcript = Transcript(flatten(entries), tuple(states), last_active)
+    transcript = Transcript(flatten(entries), tuple(states))
     return result, transcript, history

@@ -222,7 +222,7 @@ def test_criterion_05_pair_graph_structure(corpus_runs):
 
 def test_criterion_06_double_cover_equivalence(corpus_runs):
     for g, ra in corpus_runs:
-        h = extract_matching(build_double_cover(g), ra.transcript)  # asserts maximality
+        h = extract_matching(build_double_cover(g), ra.transcript.flat)  # asserts maximality
         assert project_cover(h) == ra.result.cover
         assert project_matching_edges(h) == ra.result.partner
     _passed(6, f"matching maximal and projections agree on {len(corpus_runs)} runs")
@@ -292,10 +292,10 @@ def test_criterion_08_golden_traces():
     for g, golden, cover in cases:
         res1, tr1 = run(g)
         res2, tr2 = run(g)
-        assert format_transcript(tr1) == golden
-        assert format_transcript(tr2) == golden  # byte-identical across runs
+        assert format_transcript(tr1.flat) == golden
+        assert format_transcript(tr2.flat) == golden  # byte-identical across runs
         assert res1.cover == res2.cover == frozenset(cover)
-        assert replay(g, tr1) == []
+        assert replay(g, tr1.flat) == []
     _passed(8, "K_2, star(3), consistent C_4 reproduce the hand-derived traces")
 
 
@@ -313,7 +313,7 @@ def test_criterion_09_determinism_and_anonymity():
         res1, tr1 = run(g)
         res2, tr2 = run(g)
         assert res1 == res2
-        assert format_transcript(tr1) == format_transcript(tr2)
+        assert format_transcript(tr1.flat) == format_transcript(tr2.flat)
 
         perm = list(range(n))
         rng.shuffle(perm)

@@ -76,20 +76,20 @@ class TestExtractMatching:
     def test_k2_both_edges_matched(self):
         g = k2()
         _, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert h.mate == (1, 0)  # B(0)-W(1) and B(1)-W(0)
 
     def test_star_matching(self):
         g = star(3)
         _, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         # leaf 1's proposal accepted by the centre, and vice versa
         assert h.mate == (1, 0, -1, -1)
 
     def test_empty_graph_empty_matching(self):
         g = from_edge_list(EdgeList.from_pairs(3, []))
         _, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert h.mate == (-1, -1, -1)
 
     def test_forged_double_accept_is_a_fault(self):
@@ -185,28 +185,28 @@ class TestProjection:
     def test_k2(self):
         g = k2()
         res, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert project_cover(h) == res.cover == frozenset({0, 1})
         assert project_matching_edges(h) == res.partner
 
     def test_star(self):
         g = star(3)
         res, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert project_cover(h) == frozenset({0, 1})
         assert project_matching_edges(h) == (1, 0, -1, -1)
 
     def test_empty_matching_projects_to_nothing(self):
         g = from_edge_list(EdgeList.from_pairs(2, []))
         _, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert project_cover(h) == frozenset()
 
     @pytest.mark.parametrize("maker,arg", [(cycle, 5), (cycle, 6), (star, 4), (clique, 4)])
     def test_projection_matches_simulator(self, maker, arg):
         g = maker(arg)
         res, tr = run(g)
-        h = extract_matching(build_double_cover(g), tr)
+        h = extract_matching(build_double_cover(g), tr.flat)
         assert project_cover(h) == res.cover
         assert project_matching_edges(h) == res.partner
 

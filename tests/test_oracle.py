@@ -1,5 +1,6 @@
 import pytest
 
+from portvc import oracle
 from portvc.analysis import check_cover
 from portvc.errors import OracleRefusal
 from portvc.graph import clique_edges, from_edge_list, permute_ports, random_bounded_edges
@@ -37,10 +38,10 @@ class TestSolve:
         with pytest.raises(OracleRefusal, match="cap"):
             solve(g, cap=5)
 
-    def test_node_limit_refusal(self):
-        g = petersen()
+    def test_node_limit_refusal(self, monkeypatch):
+        monkeypatch.setattr(oracle, "NODE_LIMIT", 2)
         with pytest.raises(OracleRefusal, match="budget"):
-            solve(g, node_limit=2)
+            solve(petersen())
 
     def test_recursion_limit_refusal(self):
         # the search nests about one level per cover node, and the default

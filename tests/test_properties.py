@@ -114,7 +114,7 @@ def test_state_monotonicity_over_run(g):
 @given(port_graphs())
 def test_double_cover_view_agrees(g):
     res, tr = run(g)
-    h = extract_matching(build_double_cover(g), tr)
+    h = extract_matching(build_double_cover(g), tr.flat)
     assert project_cover(h) == res.cover
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from collections import Counter
 
@@ -183,14 +182,14 @@ class TestMalformedTables:
 class TestTranscriptText:
     def test_round_trip(self):
         _, tr = run(star(3))
-        text = format_transcript(tr)
+        text = format_transcript(tr.flat)
         assert parse_transcript(text) == flatten(
             sorted(tr.entries, key=lambda e: (e.time_step, e.sender, e.sender_port))
         )
 
     def test_k2_golden_text(self):
         _, tr = run(k2())
-        assert format_transcript(tr) == (
+        assert format_transcript(tr.flat) == (
             "1 0 1 propose\n1 1 1 propose\n2 0 1 accept\n2 1 1 accept\n"
         )
 
@@ -217,7 +216,7 @@ class TestReplay:
     def test_genuine_transcript_is_clean(self):
         g = permute_ports(cycle(6), 1)
         _, tr = run(g)
-        assert replay(g, tr) == []
+        assert replay(g, tr.flat) == []
 
     def test_reordered_complete_transcript_is_clean(self):
         g = permute_ports(cycle(6), 1)
@@ -225,7 +224,6 @@ class TestReplay:
         shuffled = tuple(reversed(tr.entries))
         assert shuffled != tr.entries
         assert replay(g, flatten(shuffled)) == []
-        assert replay(g, dataclasses.replace(tr, flat=flatten(shuffled))) == []
 
     def test_flipped_entry_detected(self):
         g = k2()
@@ -239,23 +237,9 @@ class TestReplay:
         assert any("not derivable" in v for v in violations)
         assert any("missing" in v for v in violations)
 
-    def test_forged_last_active_step_detected(self):
-        g = k2()
-        _, tr = run(g)
-        forged = dataclasses.replace(tr, last_active_step=3)
-        assert forged.flat == tr.flat
-        assert replay(g, forged) == ["last_active_step mismatch: claimed 3, derived 2"]
-
-    def test_forged_final_states_detected(self):
-        g = k2()
-        _, tr = run(g)
-        # node 0 claims it never joined the cover; every entry still matches
-        states = (dataclasses.replace(tr.final_states[0], c=False),) + tr.final_states[1:]
-        assert replay(g, dataclasses.replace(tr, final_states=states)) == ["final states diverge"]
-
     def test_transcript_of_other_numbering_detected(self):
         g = g_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
         _, tr = run(g)
         g_permuted = permute_ports(g, 6)
         assert run(g_permuted)[1].entries != tr.entries  # seed chosen to differ
-        assert replay(g_permuted, tr) != []
+        assert replay(g_permuted, tr.flat) != []

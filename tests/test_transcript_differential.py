@@ -38,7 +38,7 @@ def _assert_same_parse(text: str) -> None:
 
 def _assert_same_text(g) -> None:
     _, tr = run(g)
-    text = format_transcript(tr)
+    text = format_transcript(tr.flat)
     assert text == reference_format_transcript(tr.entries)
     assert parse_transcript(text) == tr.flat
     _assert_same_parse(text)
@@ -68,7 +68,7 @@ PERTURBATIONS = (
 def perturbed_transcript_texts(draw):
     """The text of a genuine run with one to four perturbations applied."""
     g = draw(port_graphs(max_n=7))
-    lines = format_transcript(run(g)[1]).splitlines()
+    lines = format_transcript(run(g)[1].flat).splitlines()
     crlf = False
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         op = draw(st.sampled_from(PERTURBATIONS))
@@ -120,7 +120,7 @@ SINGLE_PERTURBATIONS = (
 def single_perturbation_transcript_texts(draw):
     """The text of a genuine run with one perturbation applied."""
     g = draw(port_graphs(max_n=7))
-    lines = format_transcript(run(g)[1]).splitlines()
+    lines = format_transcript(run(g)[1].flat).splitlines()
     op = draw(st.sampled_from(SINGLE_PERTURBATIONS))
     if op == "crlf":
         return "".join(line + "\r\n" for line in lines)
