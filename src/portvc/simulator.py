@@ -242,12 +242,12 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
 
 
 def replay(g: PortGraph, flat: tuple[int | str, ...]) -> list[str]:
-    """Re-derive the transcript from scratch and report every send in which
-    the flat form `flat` differs from it: claimed sends not derivable, then
-    derivable sends missing, each sorted. A differing order alone is none."""
-    derived = run(g)[1].flat
-    if flat == derived:
+    """Re-derive the transcript of g and report where the flat form `flat`
+    differs from it as a multiset of sends: claimed sends not derivable,
+    then derivable sends missing, each sorted."""
+    fresh = run(g)[1].flat
+    if flat == fresh:
         return []
-    claimed, derived = (Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, derived))
+    claimed, derived = (Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, fresh))
     return ([f"claimed entry not derivable: {e}" for e in sorted((claimed - derived).elements())]
             + [f"missing entry: {e}" for e in sorted((derived - claimed).elements())])
