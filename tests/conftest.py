@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,18 @@ from portvc.graph import (
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def peak_bytes(f, *args) -> tuple[int, int]:
+    """(peak, retained) bytes of `f(*args)`, traced by `tracemalloc`: the most
+    held at once during the call, and what its result still holds after it."""
+    tracemalloc.start()
+    try:
+        result = f(*args)  # alive until the return, so `retained` counts it
+        retained, peak = tracemalloc.get_traced_memory()
+        return peak, retained
+    finally:
+        tracemalloc.stop()
 
 
 def pair_edges(result) -> frozenset[tuple[int, int]]:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import pytest
 
 from portvc.algorithm import Msg
@@ -14,7 +12,7 @@ from portvc.errors import AnalysisFault
 from portvc.graph import EdgeList, PortGraph, from_edge_list, permute_ports
 from portvc.simulator import TranscriptEntry, run
 
-from conftest import clique, cycle, k2, star
+from conftest import clique, cycle, k2, peak_bytes, star
 from reference_double_cover import reference_copy_edges
 from reference_engine import flatten
 
@@ -211,19 +209,10 @@ class TestProjection:
         assert project_matching_edges(h) == res.partner
 
 
-def _peak_bytes(f, *args) -> int:
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_analyze_peak_memory_close_to_run():
     """`analyze` reads the port table instead of building m-sized edge sets,
     so on a dense graph its peak stays within a small factor of `run`'s."""
     g = permute_ports(clique(400), 7)
-    run_peak = _peak_bytes(run, g)
-    analyze_peak = _peak_bytes(analyze, g)
+    run_peak, _ = peak_bytes(run, g)
+    analyze_peak, _ = peak_bytes(analyze, g)
     assert analyze_peak <= 3 * run_peak, (analyze_peak, run_peak)

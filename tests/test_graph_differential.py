@@ -87,7 +87,7 @@ def test_reciprocal_ports_match_reference(el, seed):
 PERTURBATIONS = (
     "drop-neighbour", "add-neighbour", "drop-neighbour", "add-neighbour", "shuffle",
     "out-of-range", "wrong-m", "wrong-n", "drop-line", "duplicate-line", "swap-lines",
-    "garbage-token",
+    "garbage-token", "comment-line", "blank-line",
 )
 
 
@@ -100,8 +100,14 @@ def perturbed_pg_texts(draw):
     header = lines[0].split()
     rows = [line.split() for line in lines[1:]]
     node_id = st.integers(min_value=-2, max_value=n + 2).map(str)
+    skipped = []  # (index among the final lines, text) of each line the readers skip
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         op = draw(st.sampled_from(PERTURBATIONS))
+        if op in ("comment-line", "blank-line"):
+            skipped.append((draw(st.integers(min_value=0, max_value=len(rows) + 1)), draw(
+                st.sampled_from(["#", "# 0 1", "#1 1 0", "  # 2 0", "\t#"]
+                                if op == "comment-line" else ["", " ", "\t", " \t  "]))))
+            continue
         if op == "wrong-m":
             header[1] = str(int(header[1]) + draw(st.sampled_from([-2, -1, 1, 2])))
             continue
@@ -133,7 +139,10 @@ def perturbed_pg_texts(draw):
             row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = "x"
         if op in ("drop-neighbour", "add-neighbour") and draw(st.integers(0, 3)):
             row[1] = str(len(row) - 2)  # mostly keep the declared degree consistent
-    return "\n".join(" ".join(tokens) for tokens in [header] + rows) + "\n"
+    lines = [" ".join(tokens) for tokens in [header] + rows]
+    for index, line in skipped:
+        lines.insert(index, line)
+    return "\n".join(lines) + "\n"
 
 
 @given(perturbed_pg_texts())
