@@ -3,9 +3,12 @@
 A `PortGraph` is a simple undirected graph in which every node privately
 orders its incident edges by port numbers 1..d(v). It is the single source
 of truth for topology; everything downstream (simulator, analysis, double
-cover) consumes it read-only. Parsing either text format costs O(n + m).
-An `.el` text in the form `serialize_edge_list` writes is read in one bulk
-pass; any other valid text is read line by line, with identical results.
+cover) consumes it read-only. Parsing either text format costs O(n + m),
+and the readers peak at about the port table they return: `parse` splits
+one node line at a time, and the reciprocity maps are freed before the
+rows are built. An `.el` text in the form `serialize_edge_list` writes is
+read in one bulk pass; any other valid text is read line by line, with
+identical results.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ class EdgeList:
         node ids in 0..n-1, no self-loop, no edge twice. A refusal names the
         first pair refused, as `_refusal` finds it."""
         pairs = list(pairs)
-        edges = tuple([(u, v) if u < v else (v, u) for u, v in pairs])
+        edges = tuple([p if p[0] < p[1] else (p[1], p[0]) for p in pairs])
         low, high = zip(*edges) if edges else ((), ())
         if (node_count < 0 or edges and (min(low) < 0 or max(high) >= node_count)
                 or any(map(operator.eq, low, high)) or len(set(edges)) < len(edges)):
@@ -95,7 +98,8 @@ def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> 
 
     Reciprocal port numbers are derived from the position of each node in
     its neighbour's ordering: ids in 0..n-1, no duplicates. The first u, in
-    row order, whose ordering lacks v raises `KeyError(v, u)`.
+    row order, whose ordering lacks v raises `KeyError(v, u)`. The position
+    dicts are freed once the reciprocal ports are read, before the rows.
     """
     position = [dict(zip(nbrs, count(1))) for nbrs in orders]
     try:  # v's port at each u it lists, row by row
@@ -103,6 +107,7 @@ def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> 
     except KeyError as exc:  # the row of v = exc.args[0] lists a u that lacks v
         v = exc.args[0]
         raise KeyError(v, next(u for u in orders[v] if v not in position[u])) from None
+    del position
     ports = tuple(tuple(zip(nbrs, recip)) for nbrs in orders)  # zip stops at the row's end
     return PortGraph(node_count, ports)
 
@@ -285,23 +290,22 @@ def _int_tokens(tokens: list[str], line: int) -> list[int]:
         raise ParseError(f"non-integer token in {tokens!r}", line) from None
 
 
-def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) per line that is neither blank nor a `#` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if tokens and tokens[0][0] != "#":
-            yield lineno, tokens
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) per line that is neither blank nor a `#` comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip()[:1] not in ("", "#"):
+            yield lineno, line
 
 
 def parse(text: str) -> PortGraph:
     """Port-graph text format: header `n m`, then one line `v d(v) u_1 .. u_d`
     per node, listing v's neighbours in port order, port 1 first. Lines may
     come in any node order; `#` starts a comment line. Costs O(n + m)."""
-    rows = list(_rows(text))
+    rows = list(_lines(text))
     if not rows:
         raise ParseError("empty input, expected `n m` header")
     header_line, header = rows[0]
-    nums = _int_tokens(header, header_line)
+    nums = _int_tokens(header.split(), header_line)
     if len(nums) != 2:
         raise ParseError("header must be `n m`", header_line)
     n, m = nums
@@ -313,8 +317,8 @@ def parse(text: str) -> PortGraph:
                          body[-1][0] if body else header_line)
     orders: list[list[int] | None] = [None] * n
     node_line = [0] * n
-    for lineno, tokens in body:
-        nums = _int_tokens(tokens, lineno)
+    for lineno, line in body:  # split one line at a time: no token outlives its line
+        nums = _int_tokens(line.split(), lineno)
         if len(nums) < 2:
             raise ParseError("node line must be `v d(v) neighbours...`", lineno)
         v, d, nbrs = nums[0], nums[1], nums[2:]
@@ -376,19 +380,19 @@ def parse_edge_list(text: str) -> EdgeList:
         else:
             if n <= MAX_EDGE_LIST_NODES:  # else the line-by-line reader refuses it
                 return _edge_list(n, pairs, range(1, len(pairs) + 2))
-    rows = list(_rows(text))
+    rows = list(_lines(text))
     if not rows:
         raise ParseError("empty input, expected node count header")
     header_line, header = rows[0]
-    nums = _int_tokens(header, header_line)
+    nums = _int_tokens(header.split(), header_line)
     if len(nums) != 1:
         raise ParseError("header must be a single node count", header_line)
     n = nums[0]
     if n > MAX_EDGE_LIST_NODES:
         raise ParseError(f"node count {n} exceeds the limit of {MAX_EDGE_LIST_NODES}", header_line)
     pairs = []
-    for lineno, tokens in rows[1:]:
-        nums = _int_tokens(tokens, lineno)
+    for lineno, line in rows[1:]:
+        nums = _int_tokens(line.split(), lineno)
         if len(nums) != 2:
             raise ParseError("edge line must be `u v`", lineno)
         pairs.append((nums[0], nums[1]))

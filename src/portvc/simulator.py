@@ -34,7 +34,7 @@ from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
 from .errors import ProtocolFault
-from .graph import PortGraph, _rows
+from .graph import PortGraph, _lines
 
 PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
 # kind text -> its `Msg`, and -> the one copy of the text that parsed kinds share
@@ -230,7 +230,8 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
             flat[3::4] = map(_KIND_TEXT.__getitem__, flat[3::4])
             return tuple(flat)
     flat = []
-    for lineno, tokens in _rows(text):
+    for lineno, line in _lines(text):
+        tokens = line.split()
         if len(tokens) != 4:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
         step, v, port, kind = tokens

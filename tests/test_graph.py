@@ -20,7 +20,7 @@ from portvc.graph import (
     star_edges,
 )
 
-from conftest import g_from_pairs, k2
+from conftest import g_from_pairs, k2, peak_bytes
 from reference_graph import edge_set, serialize, validate
 
 
@@ -330,6 +330,32 @@ class TestSerialization:
         assert parse_edge_list(f"{cap}\n0 1\n").node_count == cap
         with pytest.raises(ParseError, match=f"line 1: node count {cap + 1} exceeds"):
             parse_edge_list(f"{cap + 1}\n0 1\n")
+
+
+# A reader's peak over the port table it returns. The table is the one thing
+# a reader must hold; the tokens of a whole `.pg` text or the per-node
+# position dicts held next to the built rows each took the ratio past 2.
+READER_PEAK_RATIO = 1.6
+
+
+class TestReaderPeak:
+    @staticmethod
+    def _assert_peak_near_table(f, *args):
+        peak, retained = peak_bytes(f, *args)
+        assert peak <= READER_PEAK_RATIO * retained, (peak, retained, peak / retained)
+
+    def test_parse_peaks_at_its_port_table(self):
+        text = serialize(permute_ports(from_edge_list(clique_edges(300)), 7))
+        self._assert_peak_near_table(parse, text)
+
+    @pytest.mark.parametrize("policy,seed", [("sorted", None), ("random", 5)])
+    def test_from_edge_list_peaks_at_its_port_table(self, policy, seed):
+        el = random_bounded_edges(5000, 10, 6 / 5000, seed=3)
+        self._assert_peak_near_table(from_edge_list, el, policy, seed)
+
+    def test_permute_ports_peaks_at_its_port_table(self):
+        g = from_edge_list(random_bounded_edges(5000, 10, 6 / 5000, seed=3))
+        self._assert_peak_near_table(permute_ports, g, 9)
 
 
 class TestRelabel:
