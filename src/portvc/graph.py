@@ -4,11 +4,9 @@ A `PortGraph` is a simple undirected graph in which every node privately
 orders its incident edges by port numbers 1..d(v). It is the single source
 of truth for topology; everything downstream (simulator, analysis, double
 cover) consumes it read-only. Parsing either text format costs O(n + m),
-and the readers peak at about the port table they return: `parse` splits
-one node line at a time, and the reciprocity maps are freed before the
-rows are built. An `.el` text in the form `serialize_edge_list` writes is
-read in one bulk pass; any other valid text is read line by line, with
-identical results.
+and `parse` and the port numbering peak at about the port table they build.
+An `.el` text in the form `serialize_edge_list` writes is read in one bulk
+pass; any other valid text is read line by line, with identical results.
 """
 from __future__ import annotations
 
@@ -338,6 +336,7 @@ def parse(text: str) -> PortGraph:
             raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
         orders[v] = nbrs
         node_line[v] = lineno
+    del rows, body  # the lines, freed before the rows are built
     try:
         g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
     except KeyError as exc:

@@ -333,8 +333,8 @@ class TestSerialization:
 
 
 # A reader's peak over the port table it returns. The table is the one thing
-# a reader must hold; the tokens of a whole `.pg` text or the per-node
-# position dicts held next to the built rows each took the ratio past 2.
+# a reader must hold; holding the tokens of a whole `.pg` text, or the
+# per-node position dicts next to the built rows, takes the ratio past 2.
 READER_PEAK_RATIO = 1.6
 
 
@@ -344,9 +344,12 @@ class TestReaderPeak:
         peak, retained = peak_bytes(f, *args)
         assert peak <= READER_PEAK_RATIO * retained, (peak, retained, peak / retained)
 
-    def test_parse_peaks_at_its_port_table(self):
-        text = serialize(permute_ports(from_edge_list(clique_edges(300)), 7))
-        self._assert_peak_near_table(parse, text)
+    @pytest.mark.parametrize("g", [
+        lambda: permute_ports(from_edge_list(clique_edges(300)), 7),
+        lambda: from_edge_list(random_bounded_edges(5000, 10, 6 / 5000, seed=3), "random", 5),
+    ], ids=["clique", "sparse"])
+    def test_parse_peaks_at_its_port_table(self, g):
+        self._assert_peak_near_table(parse, serialize(g()))
 
     @pytest.mark.parametrize("policy,seed", [("sorted", None), ("random", 5)])
     def test_from_edge_list_peaks_at_its_port_table(self, policy, seed):
