@@ -338,6 +338,11 @@ class TestSerialization:
 READER_PEAK_RATIO = 1.6
 
 
+def _sparse_edges() -> EdgeList:
+    """A seeded random graph: n = 5000, degree cap 10, mean degree about 6."""
+    return random_bounded_edges(5000, 10, 6 / 5000, seed=3)
+
+
 class TestReaderPeak:
     @staticmethod
     def _assert_peak_near_table(f, *args):
@@ -346,19 +351,17 @@ class TestReaderPeak:
 
     @pytest.mark.parametrize("g", [
         lambda: permute_ports(from_edge_list(clique_edges(300)), 7),
-        lambda: from_edge_list(random_bounded_edges(5000, 10, 6 / 5000, seed=3), "random", 5),
+        lambda: from_edge_list(_sparse_edges(), "random", 5),
     ], ids=["clique", "sparse"])
     def test_parse_peaks_at_its_port_table(self, g):
         self._assert_peak_near_table(parse, serialize(g()))
 
     @pytest.mark.parametrize("policy,seed", [("sorted", None), ("random", 5)])
     def test_from_edge_list_peaks_at_its_port_table(self, policy, seed):
-        el = random_bounded_edges(5000, 10, 6 / 5000, seed=3)
-        self._assert_peak_near_table(from_edge_list, el, policy, seed)
+        self._assert_peak_near_table(from_edge_list, _sparse_edges(), policy, seed)
 
     def test_permute_ports_peaks_at_its_port_table(self):
-        g = from_edge_list(random_bounded_edges(5000, 10, 6 / 5000, seed=3))
-        self._assert_peak_near_table(permute_ports, g, 9)
+        self._assert_peak_near_table(permute_ports, from_edge_list(_sparse_edges()), 9)
 
 
 class TestRelabel:
