@@ -299,17 +299,17 @@ def parse(text: str) -> PortGraph:
     """Port-graph text format: header `n m`, then one line `v d(v) u_1 .. u_d`
     per node, listing v's neighbours in port order, port 1 first. Lines may
     come in any node order; `#` starts a comment line. Costs O(n + m)."""
-    rows = list(_lines(text))
-    if not rows:
+    lines = list(_lines(text))
+    if not lines:
         raise ParseError("empty input, expected `n m` header")
-    header_line, header = rows[0]
+    header_line, header = lines[0]
     nums = _int_tokens(header.split(), header_line)
     if len(nums) != 2:
         raise ParseError("header must be `n m`", header_line)
     n, m = nums
     if n < 0 or m < 0:
         raise ParseError("n and m must be non-negative", header_line)
-    body = rows[1:]
+    body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} node lines, found {len(body)}",
                          body[-1][0] if body else header_line)
@@ -336,7 +336,7 @@ def parse(text: str) -> PortGraph:
             raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
         orders[v] = nbrs
         node_line[v] = lineno
-    del rows, body  # the lines, freed before the rows are built
+    del lines, body  # freed before the port rows are built
     try:
         g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
     except KeyError as exc:
@@ -379,10 +379,10 @@ def parse_edge_list(text: str) -> EdgeList:
         else:
             if n <= MAX_EDGE_LIST_NODES:  # else the line-by-line reader refuses it
                 return _edge_list(n, pairs, range(1, len(pairs) + 2))
-    rows = list(_lines(text))
-    if not rows:
+    lines = list(_lines(text))
+    if not lines:
         raise ParseError("empty input, expected node count header")
-    header_line, header = rows[0]
+    header_line, header = lines[0]
     nums = _int_tokens(header.split(), header_line)
     if len(nums) != 1:
         raise ParseError("header must be a single node count", header_line)
@@ -390,12 +390,12 @@ def parse_edge_list(text: str) -> EdgeList:
     if n > MAX_EDGE_LIST_NODES:
         raise ParseError(f"node count {n} exceeds the limit of {MAX_EDGE_LIST_NODES}", header_line)
     pairs = []
-    for lineno, line in rows[1:]:
+    for lineno, line in lines[1:]:
         nums = _int_tokens(line.split(), lineno)
         if len(nums) != 2:
             raise ParseError("edge line must be `u v`", lineno)
         pairs.append((nums[0], nums[1]))
-    return _edge_list(n, pairs, [lineno for lineno, _ in rows])
+    return _edge_list(n, pairs, [lineno for lineno, _ in lines])
 
 
 def _edge_list(n: int, pairs: list[tuple[int, int]], lines: Sequence[int]) -> EdgeList:
