@@ -1,4 +1,4 @@
-"""Differential tests: the frontier engine `run` against the reference stepper.
+"""Differential tests: the round loop of `run` against the reference stepper.
 
 On valid graphs the two must agree on every field of the result and the
 transcript, entry order included, and `run`'s entries must come in
@@ -96,8 +96,12 @@ def corrupted_port_graphs(draw):
 
 
 @given(st.one_of(port_tables(), corrupted_port_graphs()))
+@example(PortGraph(3, (((1, 1),), ((2, 1),), ((0, 1),))))
 @settings(max_examples=500)
 def test_malformed_tables_fail_like_reference(g):
+    # in the example each answer reaches the wrong proposer, on the port it
+    # waits on: no fault, and both return partner (1, 2, 0) with the last
+    # send at step 2
     assert _outcome(run, g) == _outcome(reference_run, g)
 
 

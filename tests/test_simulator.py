@@ -119,8 +119,8 @@ class TestRun:
 
 
 class TestMalformedTables:
-    """A port table built in code that names no node is refused by `run`,
-    with a `ProtocolFault` naming the sending node and port."""
+    """A malformed port table built in code is refused by `run`, with a
+    `ProtocolFault` naming the step, the node and the port."""
 
     @pytest.mark.parametrize("u", [-1, 5])
     def test_proposal_to_no_node_is_refused(self, u):
@@ -173,8 +173,37 @@ class TestMalformedTables:
         # proposals to nodes -1 and 9 at step 1: both ends of the range fail
         ((((1, 1),), ((-1, 1),), ((9, 1),)),
          "step 1, node 1: proposal on port 1 to node -1, outside 0..2"),
+        # read as node 1, node -1 would answer node 0 through a reciprocal
+        # entry: the check on the receivers' range must refuse it
+        ((((-1, 2), (1, 1)), ((0, 2), (0, 1))),
+         "step 1, node 0: proposal on port 1 to node -1, outside 0..1"),
     ])
     def test_first_send_to_no_node_is_named(self, ports, message):
+        with pytest.raises(ProtocolFault, match=rf"^{re.escape(message)}$"):
+            run(PortGraph(len(ports), ports))
+
+    @pytest.mark.parametrize("ports, message", [
+        # port 0 would read the last entry of node 1's row, which names node 0
+        # on port 1 as if the table were reciprocal
+        ((((1, 0),), ((0, 1),)),
+         "step 2, node 1: unexpected even-step delivery ('propose' on port 0)"),
+        # port 2 of a node of degree 1
+        ((((1, 2),), ((0, 1),)),
+         "step 2, node 1: unexpected even-step delivery ('propose' on port 2)"),
+        # nodes 0 and 2 both propose to node 1's port 1
+        ((((1, 1),), ((0, 1),), ((1, 1),)),
+         "step 2, node 1: unexpected even-step delivery ('propose' on port 1)"),
+        # node 0's port 1 names itself: both proposals reach node 0, and so
+        # do both its answers
+        ((((0, 2), (0, 3)), ((0, 1),)),
+         "step 3, node 0: 2 odd-step deliveries"),
+        # node 1's answer comes back to node 0 on port 2, not the port 1 it
+        # proposed on
+        ((((1, 1), (1, 1)), ((0, 2),)),
+         "step 3, node 0: unexpected odd-step delivery ('accept' on port 2) "
+         "in state a=None i=1 d=2"),
+    ])
+    def test_round_fault_is_named(self, ports, message):
         with pytest.raises(ProtocolFault, match=rf"^{re.escape(message)}$"):
             run(PortGraph(len(ports), ports))
 
