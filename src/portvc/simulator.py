@@ -34,7 +34,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
@@ -113,8 +112,10 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
             _fault(ports, a, b, r, proposers)
         # one answer to each proposer on port r; a table that is not
         # reciprocal may still send each answer to another proposer
-        expected = list(zip(proposers, repeat(r)))
-        if answered != expected and sorted(answered) != expected:
+        if any(k != r for _, k in answered):
+            _fault(ports, a, b, r, proposers)
+        back = [u for u, _ in answered]
+        if back != proposers and sorted(back) != proposers:
             _fault(ports, a, b, r, proposers)
 
         at = len(flat)
