@@ -9,21 +9,17 @@ that form. `Transcript.entries` builds one `TranscriptEntry` per send from
 it, when something first reads it.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
-reports it. The engine runs it round by round: in round r every node with
-no accepted proposal and degree >= r proposes on its port r at step 2r - 1,
-and at step 2r every receiver answers its proposals in port order,
-accepting the lowest if it has accepted none before. A node's state is its
-two accepted ports, `a` and `b`; the scan counter and cover flag follow
-from them after the last round. The run stops after the first round with
-no proposer. Each node proposes at most d(v) times, so a run costs O(n + m).
+reports it. The engine steps only the nodes with a message in flight: step 1
+scans every node; after that an odd step visits the nodes that proposed two
+steps earlier, and an even step the receivers of proposals. It stops at the
+first step that sends nothing, because no node can act after one. Each node
+proposes at most d(v) times, so a run costs O(n + m).
 
-The pure transition functions in `algorithm` remain the specification.
-Each round is checked in bulk first: every receiver is a node, every port
-is one of its ports, and the answers come back one to each proposer on its
-port r. A round that fails the check is stepped through those functions,
-so a malformed port table raises the same `ProtocolFault` they raise. A
-proposal, accept or reject sent through a port entry that names no node is
-refused; the fault names the first such send of its step, in send order.
+The pure transition functions in `algorithm` remain the specification: any
+delivery the engine does not expect is handed to them, so a malformed port
+table raises the same `ProtocolFault` they raise. A proposal, accept or
+reject sent through a port entry that names no node is refused at the
+next step, which names the first such send of its step, in send order.
 
 `CoverResult.partner` holds the run's pair relation as one int per node:
 the neighbour behind the port of its accepted proposal, or -1.
@@ -31,7 +27,7 @@ the neighbour behind the port of its accepted proposal, or -1.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, NoReturn
@@ -40,6 +36,7 @@ from .algorithm import Msg, NodeState, even_step, odd_step
 from .errors import ProtocolFault
 from .graph import PortGraph, _lines
 
+PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
 # kind text -> its `Msg`, and -> the one copy of the text that parsed kinds share
 _MSG = {m.value: m for m in Msg}
 _KIND_TEXT = {m.value: m.value for m in Msg}
@@ -91,105 +88,112 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     n = g.node_count
     ports = g.ports
     deg = [len(p) for p in ports]
-    # port of the accepted outgoing proposal, and of the accepted incoming one
+    # node state in flat lists, one entry per NodeState field
     a: list[int | None] = [None] * n
     b: list[int | None] = [None] * n
+    i = [0] * n
+    c = [False] * n
+    horizon = horizon_for(g)
     flat: list[int | str] = []
-    proposers = [v for v in range(n) if deg[v]]
+    extend = flat.extend
+    sent = 0  # where the current step's sends begin in `flat`
+    last_active = 0
+    # deliveries for the current step: (port, response) pairs at odd steps,
+    # proposal ports at even steps, each list in arrival order
+    responses: defaultdict[int, list[tuple[int, Msg]]] = defaultdict(list)
+    proposals: defaultdict[int, list[int]] = defaultdict(list)
+    proposers: range | list[int] = range(n)  # step 1 scans every node
 
-    r = 1
-    while proposers:
-        targets = [ports[v][r - 1] for v in proposers]
-        order = sorted(targets)  # (receiver, port): the even step's send order
-        lowest = dict(reversed(order))  # receiver -> its lowest arriving port
-        # a port below 1 would read u's row from its end; one above d(u)
-        # raises the IndexError below
-        if not 0 <= order[0][0] <= order[-1][0] < n or min(lowest.values()) < 1:
-            _fault(ports, a, b, r, proposers)
-        try:
-            answered = [ports[u][k - 1] for u, k in targets]
-        except IndexError:
-            _fault(ports, a, b, r, proposers)
-        # one answer to each proposer on port r; a table that is not
-        # reciprocal may still send each answer to another proposer
-        if any(k != r for _, k in answered):
-            _fault(ports, a, b, r, proposers)
-        back = [u for u, _ in answered]
-        if back != proposers and sorted(back) != proposers:
-            _fault(ports, a, b, r, proposers)
+    for t in range(1, horizon + 1):
+        begun, sent = sent, len(flat)  # step t - 1 sent flat[begun:sent]
+        if t % 2:
+            visit = proposers
+            if responses and not responses.keys() <= set(proposers):
+                if not all(0 <= u < n for u in responses):
+                    _refuse_send(flat[begun:sent], ports, n)
+                # a response reached a node with no proposal out: visit in id
+                # order, so that the fault raised is the lowest node's
+                visit = sorted(set(proposers).union(responses))
+            proposers = []
+            proposals = defaultdict(list)
+            for v in visit:
+                iv = i[v]
+                box = responses.get(v)
+                if box is not None:
+                    if len(box) > 1:
+                        raise ProtocolFault(f"step {t}, node {v}: {len(box)} odd-step deliveries")
+                    port, msg = box[0]  # only even steps respond, never with PROPOSE
+                    if a[v] or port != iv or not 1 <= iv <= deg[v]:
+                        state = NodeState(deg[v], a[v], b[v], iv, c[v])
+                        _refuse(odd_step, t, v, state, box[0])
+                    if msg is ACCEPT:
+                        a[v] = iv
+                        c[v] = True
+                        continue
+                iv += 1
+                i[v] = iv
+                if iv <= deg[v]:
+                    proposers.append(v)
+                    extend((t, v, iv, "propose"))
+                    u, k = ports[v][iv - 1]
+                    proposals[u].append(k)
+        else:
+            responses = defaultdict(list)
+            receivers = sorted(proposals)
+            if receivers and (receivers[0] < 0 or receivers[-1] >= n):
+                _refuse_send(flat[begun:sent], ports, n)
+            for v in receivers:
+                arrived = proposals[v]
+                box = sorted(arrived) if len(arrived) > 1 else arrived
+                if box[0] < 1 or box[-1] > deg[v] or len(set(box)) < len(box):
+                    state = NodeState(deg[v], a[v], b[v], i[v], c[v])
+                    _refuse(even_step, t, v, state, [(k, PROPOSE) for k in arrived])
+                for port in box:
+                    if b[v]:
+                        msg = REJECT
+                        extend((t, v, port, "reject"))
+                    else:
+                        b[v] = port
+                        c[v] = True
+                        msg = ACCEPT
+                        extend((t, v, port, "accept"))
+                    u, k = ports[v][port - 1]
+                    responses[u].append((k, msg))
+        if len(flat) == sent:
+            break
+        last_active = t
 
-        at = len(flat)
-        flat += [2 * r - 1, 0, r, "propose"] * len(proposers)
-        flat[at + 1 :: 4] = proposers
-        for u, k in lowest.items():
-            if b[u] is None:
-                b[u] = k
-                a[ports[u][k - 1][0]] = r
-        at = len(flat)
-        flat += [2 * r, 0, 0, 0] * len(order)
-        flat[at + 1 :: 4] = [u for u, _ in order]
-        flat[at + 2 :: 4] = [k for _, k in order]
-        # an entry that passed the check names port r, so (u, k) arrives in
-        # this round only, and b[u] == k means that u accepted it now
-        flat[at + 3 :: 4] = ["accept" if b[u] == k else "reject" for u, k in order]
-        proposers = [v for v in proposers if a[v] is None and deg[v] > r]
-        r += 1
-    last_active = 2 * r - 2  # round r - 1 sent the last answers
-
-    # i, the scan counter, stopped at the accepted port or ran to d(v) + 1;
-    # c is set once a proposal of the node or to it is accepted
-    i = (av or d + 1 for d, av in zip(deg, a))
-    c = (av is not None or bv is not None for av, bv in zip(a, b))
     # most nodes end in one of a few states; frozen, so they can be shared
     shared: dict[tuple, NodeState] = {}
     states = tuple(
         shared.get(key) or shared.setdefault(key, NodeState(*key))
         for key in zip(deg, a, b, i, c)
     )
-    cover = frozenset(v for v, state in enumerate(states) if state.c)
+    cover = frozenset(v for v in range(n) if c[v])
     # v's accepted proposal went to the neighbour behind port a[v]
     partner = tuple([-1 if av is None else row[av - 1][0] for row, av in zip(ports, a)])
-    return CoverResult(cover, partner, horizon_for(g), last_active), Transcript(tuple(flat), states)
+    return CoverResult(cover, partner, horizon, last_active), Transcript(tuple(flat), states)
 
 
-def _fault(ports, a, b, r: int, proposers: list[int]) -> NoReturn:
-    """Step round r, whose check in `run` failed, through the transitions,
-    and raise the fault a step-by-step run meets first: a send to no node
-    at step 2r - 1 or 2r, or a delivery that `even_step` at step 2r or
-    `odd_step` at step 2r + 1 refuses. A clean even step sends one answer
-    per proposer, so answers that miss a proposer or its port r fault at
-    step 2r + 1."""
-    n = len(ports)
+def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
+    """Raise the fault `transition` finds in a delivery the engine does not expect."""
+    try:
+        transition(state, inbox)
+    except ProtocolFault as exc:
+        raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
+    raise AssertionError(f"step {t}, node {v}: {transition.__name__} accepted {inbox!r}")
 
-    def send(t: int, sends) -> dict[int, list[tuple[int, Msg]]]:
-        inboxes: dict[int, list[tuple[int, Msg]]] = {}
-        for v, j, msg in sends:
-            u, k = ports[v][j - 1]
-            if not 0 <= u < n:
-                kind = "proposal" if msg is Msg.PROPOSE else msg.value
-                raise ProtocolFault(f"step {t}, node {v}: {kind} on port {j} to node {u}, "
-                                    f"outside 0..{n - 1}")
-            inboxes.setdefault(u, []).append((k, msg))
-        return inboxes
 
-    def step(transition, t: int, v: int, inbox):
-        d = len(ports[v])  # i: the accepted port, r while proposing, else d(v) + 1
-        state = NodeState(d, a[v], b[v], a[v] or min(r, d + 1), bool(a[v] or b[v]))
-        try:
-            return transition(state, inbox)[1]
-        except ProtocolFault as exc:
-            raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
-
-    proposals = send(2 * r - 1, [(v, r, Msg.PROPOSE) for v in proposers])
-    answers = [(u, j, msg) for u in sorted(proposals)
-               for j, msg in step(even_step, 2 * r, u, proposals[u])]
-    responses = send(2 * r, answers)
-    for v in sorted(responses):
-        box = responses[v]
-        if len(box) > 1:
-            raise ProtocolFault(f"step {2 * r + 1}, node {v}: {len(box)} odd-step deliveries")
-        step(odd_step, 2 * r + 1, v, box[0])
-    raise AssertionError(f"round {r} failed its check, but no transition refused it")
+def _refuse_send(sends: list[int | str], ports, n: int) -> NoReturn:
+    """Raise for the first of one step's `sends` whose port entry names no node."""
+    for x in range(0, len(sends), 4):
+        t, v, j, kind = sends[x : x + 4]
+        u = ports[v][j - 1][0]
+        if not 0 <= u < n:
+            kind = "proposal" if kind == "propose" else kind
+            raise ProtocolFault(f"step {t}, node {v}: {kind} on port {j} to node {u}, "
+                                f"outside 0..{n - 1}")
+    raise AssertionError(f"every send at step {sends[0]} names a node")
 
 
 # ---------------------------------------------------------------------------

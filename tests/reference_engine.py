@@ -3,7 +3,7 @@
 It runs every step of the 2*delta+1 horizon plus `extra_steps`, calls
 `odd_step` on every node that is not permanently quiescent and `even_step`
 on every receiver, and can keep a snapshot of all node states after each
-step. It is the executable specification the round loop in
+step. It is the executable specification the frontier engine in
 `portvc.simulator.run` is checked against. It records its sends as
 `TranscriptEntry`s and `flatten` turns them into the flat form a
 `Transcript` holds; tests build forged transcripts the same way.

@@ -1,4 +1,4 @@
-"""Differential tests: the round loop of `run` against the reference stepper.
+"""Differential tests: the frontier engine `run` against the reference stepper.
 
 On valid graphs the two must agree on every field of the result and the
 transcript, entry order included, and `run`'s entries must come in

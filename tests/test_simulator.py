@@ -120,7 +120,7 @@ class TestRun:
 
 class TestMalformedTables:
     """A malformed port table built in code is refused by `run`, with a
-    `ProtocolFault` naming the step, the node and the port."""
+    `ProtocolFault` naming the step and the node."""
 
     @pytest.mark.parametrize("u", [-1, 5])
     def test_proposal_to_no_node_is_refused(self, u):
@@ -174,7 +174,7 @@ class TestMalformedTables:
         ((((1, 1),), ((-1, 1),), ((9, 1),)),
          "step 1, node 1: proposal on port 1 to node -1, outside 0..2"),
         # read as node 1, node -1 would answer node 0 through a reciprocal
-        # entry: the check on the receivers' range must refuse it
+        # entry, so only a range check on the receiver refuses it
         ((((-1, 2), (1, 1)), ((0, 2), (0, 1))),
          "step 1, node 0: proposal on port 1 to node -1, outside 0..1"),
     ])
