@@ -281,11 +281,19 @@ def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
 # Text formats
 # ---------------------------------------------------------------------------
 
-def _int_tokens(tokens: list[str], line: int) -> list[int]:
+def _plain_ints(line: str, tokens: list[str]) -> bool:
+    """Whether no token of `line` holds `_` or a non-ASCII character: `int` reads both."""
+    return "_" not in line and (line.isascii() or all(map(str.isascii, tokens)))
+
+
+def _int_tokens(line: str, lineno: int) -> list[int]:
+    tokens = line.split()
     try:
+        if not _plain_ints(line, tokens):
+            raise ValueError
         return list(map(int, tokens))
     except ValueError:
-        raise ParseError(f"non-integer token in {tokens!r}", line) from None
+        raise ParseError(f"non-integer token in {tokens!r}", lineno) from None
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -303,7 +311,7 @@ def parse(text: str) -> PortGraph:
     if not lines:
         raise ParseError("empty input, expected `n m` header")
     header_line, header = lines[0]
-    nums = _int_tokens(header.split(), header_line)
+    nums = _int_tokens(header, header_line)
     if len(nums) != 2:
         raise ParseError("header must be `n m`", header_line)
     n, m = nums
@@ -316,7 +324,7 @@ def parse(text: str) -> PortGraph:
     orders: list[list[int] | None] = [None] * n
     node_line = [0] * n
     for lineno, line in body:  # split one line at a time: no token outlives its line
-        nums = _int_tokens(line.split(), lineno)
+        nums = _int_tokens(line, lineno)
         if len(nums) < 2:
             raise ParseError("node line must be `v d(v) neighbours...`", lineno)
         v, d, nbrs = nums[0], nums[1], nums[2:]
@@ -383,7 +391,7 @@ def parse_edge_list(text: str) -> EdgeList:
     if not lines:
         raise ParseError("empty input, expected node count header")
     header_line, header = lines[0]
-    nums = _int_tokens(header.split(), header_line)
+    nums = _int_tokens(header, header_line)
     if len(nums) != 1:
         raise ParseError("header must be a single node count", header_line)
     n = nums[0]
@@ -391,7 +399,7 @@ def parse_edge_list(text: str) -> EdgeList:
         raise ParseError(f"node count {n} exceeds the limit of {MAX_EDGE_LIST_NODES}", header_line)
     pairs = []
     for lineno, line in lines[1:]:
-        nums = _int_tokens(line.split(), lineno)
+        nums = _int_tokens(line, lineno)
         if len(nums) != 2:
             raise ParseError("edge line must be `u v`", lineno)
         pairs.append((nums[0], nums[1]))

@@ -9,17 +9,17 @@ that form. `Transcript.entries` builds one `TranscriptEntry` per send from
 it, when something first reads it.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
-reports it. The engine steps only the nodes with a message in flight: step 1
-scans every node; after that an odd step visits the nodes that proposed two
-steps earlier, and an even step the receivers of proposals. It stops at the
-first step that sends nothing, because no node can act after one. Each node
-proposes at most d(v) times, so a run costs O(n + m).
+reports it. A node's state is `a` and `b`, the ports of its accepted
+proposals: at step 2r-1 each node with none accepted proposes on its port r,
+if it has one, so `NodeState.i` is the round and `c` is "`a` or `b` set".
+Step 1 scans every node; later steps visit only the proposers of two steps
+earlier, or the receivers of proposals. The run stops at the first step that
+sends nothing. Each node proposes at most d(v) times, so it costs O(n + m).
 
-The pure transition functions in `algorithm` remain the specification: any
-delivery the engine does not expect is handed to them, so a malformed port
-table raises the same `ProtocolFault` they raise. A proposal, accept or
-reject sent through a port entry that names no node is refused at the
-next step, which names the first such send of its step, in send order.
+The transitions in `algorithm` remain the specification. Any delivery the
+engine does not expect goes to one helper, `_fault`. It raises the fault a
+step-by-step run meets first: the first send of the step before to no node,
+else the lowest node whose delivery the transitions refuse.
 
 `CoverResult.partner` holds the run's pair relation as one int per node:
 the neighbour behind the port of its accepted proposal, or -1.
@@ -34,7 +34,7 @@ from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
 from .errors import ProtocolFault
-from .graph import PortGraph, _lines
+from .graph import PortGraph, _lines, _plain_ints
 
 PROPOSE, ACCEPT, REJECT = Msg.PROPOSE, Msg.ACCEPT, Msg.REJECT
 # kind text -> its `Msg`, and -> the one copy of the text that parsed kinds share
@@ -88,11 +88,9 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     n = g.node_count
     ports = g.ports
     deg = [len(p) for p in ports]
-    # node state in flat lists, one entry per NodeState field
+    # node state: the ports of the accepted outgoing and incoming proposals
     a: list[int | None] = [None] * n
     b: list[int | None] = [None] * n
-    i = [0] * n
-    c = [False] * n
     horizon = horizon_for(g)
     flat: list[int | str] = []
     extend = flat.extend
@@ -107,54 +105,40 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     for t in range(1, horizon + 1):
         begun, sent = sent, len(flat)  # step t - 1 sent flat[begun:sent]
         if t % 2:
-            visit = proposers
             if responses and not responses.keys() <= set(proposers):
-                if not all(0 <= u < n for u in responses):
-                    _refuse_send(flat[begun:sent], ports, n)
-                # a response reached a node with no proposal out: visit in id
-                # order, so that the fault raised is the lowest node's
-                visit = sorted(set(proposers).union(responses))
-            proposers = []
+                _fault(ports, a, b, t, flat[begun:sent], responses)
+            asked = t // 2  # the port every proposer of step t - 2 proposed on
+            visit, proposers = proposers, []
             proposals = defaultdict(list)
             for v in visit:
-                iv = i[v]
                 box = responses.get(v)
                 if box is not None:
-                    if len(box) > 1:
-                        raise ProtocolFault(f"step {t}, node {v}: {len(box)} odd-step deliveries")
-                    port, msg = box[0]  # only even steps respond, never with PROPOSE
-                    if a[v] or port != iv or not 1 <= iv <= deg[v]:
-                        state = NodeState(deg[v], a[v], b[v], iv, c[v])
-                        _refuse(odd_step, t, v, state, box[0])
-                    if msg is ACCEPT:
-                        a[v] = iv
-                        c[v] = True
+                    if len(box) > 1 or box[0][0] != asked:
+                        _fault(ports, a, b, t, (), {v: box})
+                    if box[0][1] is ACCEPT:  # only even steps respond, never with PROPOSE
+                        a[v] = asked
                         continue
-                iv += 1
-                i[v] = iv
-                if iv <= deg[v]:
+                if asked < deg[v]:
                     proposers.append(v)
-                    extend((t, v, iv, "propose"))
-                    u, k = ports[v][iv - 1]
+                    extend((t, v, asked + 1, "propose"))
+                    u, k = ports[v][asked]
                     proposals[u].append(k)
         else:
             responses = defaultdict(list)
             receivers = sorted(proposals)
             if receivers and (receivers[0] < 0 or receivers[-1] >= n):
-                _refuse_send(flat[begun:sent], ports, n)
+                _fault(ports, a, b, t, flat[begun:sent], proposals)
             for v in receivers:
                 arrived = proposals[v]
                 box = sorted(arrived) if len(arrived) > 1 else arrived
                 if box[0] < 1 or box[-1] > deg[v] or len(set(box)) < len(box):
-                    state = NodeState(deg[v], a[v], b[v], i[v], c[v])
-                    _refuse(even_step, t, v, state, [(k, PROPOSE) for k in arrived])
+                    _fault(ports, a, b, t, (), {v: arrived})
                 for port in box:
                     if b[v]:
                         msg = REJECT
                         extend((t, v, port, "reject"))
                     else:
                         b[v] = port
-                        c[v] = True
                         msg = ACCEPT
                         extend((t, v, port, "accept"))
                     u, k = ports[v][port - 1]
@@ -163,37 +147,42 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
             break
         last_active = t
 
-    # most nodes end in one of a few states; frozen, so they can be shared
+    # i = d + 1 if no proposal was accepted; frozen, so the few states are shared
+    in_cover = [av is not None or bv is not None for av, bv in zip(a, b)]
     shared: dict[tuple, NodeState] = {}
     states = tuple(
         shared.get(key) or shared.setdefault(key, NodeState(*key))
-        for key in zip(deg, a, b, i, c)
+        for key in zip(deg, a, b, [av or d + 1 for av, d in zip(a, deg)], in_cover)
     )
-    cover = frozenset(v for v in range(n) if c[v])
+    cover = frozenset(v for v in range(n) if in_cover[v])
     # v's accepted proposal went to the neighbour behind port a[v]
     partner = tuple([-1 if av is None else row[av - 1][0] for row, av in zip(ports, a)])
     return CoverResult(cover, partner, horizon, last_active), Transcript(tuple(flat), states)
 
 
-def _refuse(transition, t: int, v: int, state: NodeState, inbox) -> NoReturn:
-    """Raise the fault `transition` finds in a delivery the engine does not expect."""
-    try:
-        transition(state, inbox)
-    except ProtocolFault as exc:
-        raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
-    raise AssertionError(f"step {t}, node {v}: {transition.__name__} accepted {inbox!r}")
-
-
-def _refuse_send(sends: list[int | str], ports, n: int) -> NoReturn:
-    """Raise for the first of one step's `sends` whose port entry names no node."""
+def _fault(ports, a, b, t: int, sends, inboxes) -> NoReturn:
+    """Raise the fault a step-by-step run meets first at step t: the first of
+    step t - 1's flat `sends` to no node, else the lowest node in `inboxes`
+    whose delivery the transitions refuse. A node's state is rebuilt from `a`,
+    `b` and t: with no accepted proposal, its scan counter is the round."""
     for x in range(0, len(sends), 4):
-        t, v, j, kind = sends[x : x + 4]
+        s, v, j, kind = sends[x : x + 4]
         u = ports[v][j - 1][0]
-        if not 0 <= u < n:
+        if not 0 <= u < len(a):
             kind = "proposal" if kind == "propose" else kind
-            raise ProtocolFault(f"step {t}, node {v}: {kind} on port {j} to node {u}, "
-                                f"outside 0..{n - 1}")
-    raise AssertionError(f"every send at step {sends[0]} names a node")
+            raise ProtocolFault(f"step {s}, node {v}: {kind} on port {j} to node {u}, "
+                                f"outside 0..{len(a) - 1}")
+    for v in sorted(inboxes):
+        box, d = inboxes[v], len(ports[v])
+        if t % 2 and len(box) > 1:
+            raise ProtocolFault(f"step {t}, node {v}: {len(box)} odd-step deliveries")
+        state = NodeState(d, a[v], b[v], a[v] or min(t // 2, d + 1), bool(a[v] or b[v]))
+        step, inbox = (odd_step, box[0]) if t % 2 else (even_step, [(k, PROPOSE) for k in box])
+        try:
+            step(state, inbox)
+        except ProtocolFault as exc:
+            raise ProtocolFault(f"step {t}, node {v}: {exc}") from exc
+    raise AssertionError(f"step {t}: no fault in {sends!r} or {dict(inboxes)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +225,8 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
         step, v, port, kind = tokens
         try:
+            if not _plain_ints(line, tokens):
+                raise ValueError
             flat += int(step), int(v), int(port), _KIND_TEXT[kind]
         except (KeyError, ValueError):
             raise ProtocolFault(f"transcript line {lineno}: malformed entry") from None

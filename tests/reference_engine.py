@@ -10,7 +10,8 @@ step. It is the executable specification the frontier engine in
 
 `reference_format_transcript` and `reference_parse_transcript` are the
 text writer and reader that worked one `TranscriptEntry` per line; the flat
-`format_transcript` and `parse_transcript` are checked against them.
+`format_transcript` and `parse_transcript` are checked against them. The
+reader takes integers as the graph reference readers do, `INTEGER_TOKEN`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from portvc.simulator import (
     TranscriptEntry,
     horizon_for,
 )
+
+from reference_graph import INTEGER_TOKEN
 
 
 def flatten(entries) -> tuple[int | str, ...]:
@@ -45,6 +48,8 @@ def reference_parse_transcript(text: str) -> tuple[TranscriptEntry, ...]:
         if len(tokens) != 4:
             raise ProtocolFault(f"transcript line {lineno}: expected `t v port kind`")
         try:
+            if not all(INTEGER_TOKEN.fullmatch(t) for t in tokens[:3]):
+                raise ValueError
             step, v, port = int(tokens[0]), int(tokens[1]), int(tokens[2])
             kind = Msg(tokens[3])
         except ValueError:

@@ -12,6 +12,10 @@ specifications the linear-time and bulk code in `portvc.graph` and
 `portvc.analysis` is checked against; `reference_double_cover_edges` is
 the one the port-table view of the double cover is checked against.
 
+The reference readers take an integer token only as an optional sign then
+ASCII digits, `INTEGER_TOKEN`: `int` alone would also read `1_0` as 10 and
+non-ASCII digits such as `٢` as 2.
+
 `edge_set`, `validate`, `relabel` and `serialize` are graph helpers that
 only the tests use: a port table's undirected edges, the list of its broken
 invariants, a renaming of its nodes, and the `.pg` text that
@@ -20,11 +24,13 @@ invariants, a renaming of its nodes, and the `.pg` text that
 from __future__ import annotations
 
 import random
-
+import re
 from typing import Sequence
 
 from portvc.errors import GraphError, ParseError
 from portvc.graph import MAX_EDGE_LIST_NODES, EdgeList, PortGraph
+
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def edge_set(g: PortGraph) -> frozenset[tuple[int, int]]:
@@ -128,6 +134,8 @@ def reference_permute_ports(g: PortGraph, seed: int) -> PortGraph:
 
 def _int_tokens(tokens: list[str], line: int) -> list[int]:
     try:
+        if not all(INTEGER_TOKEN.fullmatch(t) for t in tokens):
+            raise ValueError
         return [int(t) for t in tokens]
     except ValueError:
         raise ParseError(f"non-integer token in {tokens!r}", line) from None

@@ -274,8 +274,10 @@ class TestSerialization:
         assert parse(text) == k2()
 
     def test_parse_error_carries_line_number(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse("2 1\n0 1 x\n1 1 0\n")
+        # `int` alone reads `1_0` as 10 and `٢` as 2
+        for token in ("x", "1_0", "٢"):
+            with pytest.raises(ParseError, match="^line 2: non-integer token"):
+                parse(f"2 1\n0 1 {token}\n1 1 0\n")
 
     def test_parse_rejects_unreciprocated(self):
         with pytest.raises(ParseError, match="not reciprocated"):
@@ -305,6 +307,9 @@ class TestSerialization:
             ("2\n0 1\n1 1\n", "self-loop at node 1", 3),
             ("3\n0 1\n# c\n1 2\n\n1 0\n", "duplicate edge {0, 1}", 6),
             ("2\n0 1\n0 2\n", "node id out of range in edge {0, 2}", 3),
+            # only an optional sign and ASCII digits make an integer
+            ("3\n0 ٢\n", "non-integer token in ['0', '٢']", 2),
+            ("11\n1_0 2\n", "non-integer token in ['1_0', '2']", 2),
         ):
             with pytest.raises(ParseError) as exc:
                 parse_edge_list(text)

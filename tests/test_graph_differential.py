@@ -136,7 +136,8 @@ def perturbed_pg_texts(draw):
             j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
             rows[i], rows[j] = rows[j], rows[i]
         elif op == "garbage-token":
-            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = "x"
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(
+                st.sampled_from(["x", "1_0", "٢"]))
         if op in ("drop-neighbour", "add-neighbour") and draw(st.integers(0, 3)):
             row[1] = str(len(row) - 2)  # mostly keep the declared degree consistent
     lines = [" ".join(tokens) for tokens in [header] + rows]
@@ -151,7 +152,7 @@ def test_perturbed_texts_parse_like_reference(text):
     _assert_same_parse(text)
 
 
-PG_LIKE = st.text(alphabet=st.sampled_from("0123456789  -\n#x\t"), max_size=60)
+PG_LIKE = st.text(alphabet=st.sampled_from("0123456789  -\n#x\t_٢"), max_size=60)
 
 
 @given(st.one_of(PG_LIKE, st.text(max_size=40)))
@@ -180,7 +181,7 @@ def test_edge_lists_parse_like_reference(el):
 EDGE_LIST_PERTURBATIONS = (
     "tab", "crlf", "comment-line", "blank-line", "sign", "leading-zero", "one-token",
     "three-tokens", "no-final-newline", "self-loop", "duplicate", "id-equal-n",
-    "header-over-limit",
+    "header-over-limit", "non-ascii-integer",
 )
 
 
@@ -224,6 +225,9 @@ def perturbed_edge_list_texts(draw):
         lines.insert(draw(after_header), draw(st.sampled_from([f"{u} {n}", f"{n} {u}"])))
     elif op == "header-over-limit":
         lines[0] = str(MAX_EDGE_LIST_NODES + 1)
+    elif op == "non-ascii-integer":  # `int` alone reads these as 10 and 2
+        tokens[j] = draw(st.sampled_from(["1_0", "٢"]))
+        lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
 
 

@@ -202,6 +202,17 @@ class TestMalformedTables:
         ((((1, 1), (1, 1)), ((0, 2),)),
          "step 3, node 0: unexpected odd-step delivery ('accept' on port 2) "
          "in state a=None i=1 d=2"),
+        # node 0's port 1 names its own port 2, so it accepts its own
+        # proposal through port 2, whose entry names node 1: an answer
+        # reaches a node of degree 0, which never proposed
+        ((((0, 2), (1, 1)), ()),
+         "step 3, node 1: unexpected odd-step delivery ('accept' on port 1) "
+         "in state a=None i=1 d=0"),
+        # node 0, paired with itself in round 1, receives in round 2 its own
+        # reject of node 1's proposal, with no proposal of its own out
+        ((((0, 1), (1, 1)), ((0, 2), (0, 1))),
+         "step 5, node 0: unexpected odd-step delivery ('reject' on port 1) "
+         "in state a=1 i=1 d=2"),
     ])
     def test_round_fault_is_named(self, ports, message):
         with pytest.raises(ProtocolFault, match=rf"^{re.escape(message)}$"):
@@ -227,6 +238,9 @@ class TestTranscriptText:
 
         with pytest.raises(ProtocolFault, match="line 1"):
             parse_transcript("1 0 propose\n")
+        for text in ("1 0 1_0 propose\n", "1 ٠ 1 propose\n"):
+            with pytest.raises(ProtocolFault, match=r"^transcript line 1: malformed entry$"):
+                parse_transcript(text)
 
     @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
     def test_empty_transcript_parses_to_nothing(self, text):
