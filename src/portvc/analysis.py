@@ -2,11 +2,12 @@
 
 The pair edges of a run, one from each node to its `CoverResult.partner`,
 induce a subgraph of maximum degree 2 whose non-isolated nodes are exactly
-the cover; its components are paths and cycles, found by one walk per
-component over node-indexed neighbour arrays in O(n + m) time. Summing
-ceil(m/2) over the (cycle-opened) path components gives a per-instance
-lower bound on any vertex cover, certifying the cover is within factor 3
-of optimal without an exact solver.
+the cover; its components are paths and cycles, each found by one walk
+over node-indexed neighbour arrays in O(n + m) time and kept as its node
+sequence. A component of L nodes holds floor(L/2) disjoint pair edges, every
+second edge along the sequence, so the sum over components is the pair
+graph's maximum matching: a per-instance lower bound on any vertex cover,
+certifying the cover is within factor 3 of optimal without an exact solver.
 """
 from __future__ import annotations
 
@@ -19,24 +20,14 @@ from .errors import AnalysisFault
 from .graph import PortGraph
 from .simulator import CoverResult
 
-PATH = "path"
-CYCLE = "cycle"
-
-
-@dataclass(frozen=True)
-class Component:
-    kind: str  # PATH or CYCLE
-    nodes: tuple[int, ...]
-    edge_count: int
-    removed_edge: tuple[int, int] | None  # cycles only: the edge opened for the bound
-
-
 @dataclass(frozen=True)
 class PairGraph:
-    """Pair subgraph of a run: all of V with the pair edges, decomposed."""
+    """Pair subgraph of a run: all of V with the pair edges, decomposed into
+    the node sequences of its paths and cycles. Consecutive nodes of a
+    sequence are joined by a pair edge, and so are the ends of a cycle."""
 
     node_count: int
-    components: tuple[Component, ...]
+    components: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -44,7 +35,6 @@ class Certificate:
     """Certified lower bound and the resulting approximation ratio."""
 
     lower_bound: int
-    cover_size: int
     certified_ratio: Fraction | None  # None iff the cover is empty
 
 
@@ -71,7 +61,8 @@ def check_pair_symmetry(g: PortGraph, states: tuple[NodeState, ...]) -> bool:
 
 
 def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
-    """Decompose the pair edges into path/cycle components.
+    """Decompose the pair edges into the node sequences of their path and
+    cycle components.
 
     Each node v with `result.partner[v] != -1` gives the pair edge
     {v, partner[v]}; a 2-cycle, two nodes each other's partner, is one edge.
@@ -115,7 +106,7 @@ def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
             f"only-cover={sorted(cover - non_isolated)}"
         )
 
-    components: list[Component] = []
+    components: list[tuple[int, ...]] = []
     visited: set[int] = set()
     for start in range(n):
         if not deg[start] or start in visited:
@@ -125,15 +116,12 @@ def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
         if far != -1 and far < near:
             near, far = far, near
         seq = [start] + _walk(first, second, start, near)
-        if deg[seq[-1]] == 2:  # the walk came back to start
-            # (start, near) is the cycle's least edge
-            components.append(Component(CYCLE, tuple(seq), len(seq), (start, near)))
-        else:
+        if deg[seq[-1]] != 2:  # a path: the walk did not come back to start
             if far != -1:  # start lies inside the path
                 seq[:0] = reversed(_walk(first, second, start, far))
             if seq[-1] < seq[0]:
                 seq.reverse()
-            components.append(Component(PATH, tuple(seq), len(seq) - 1, None))
+        components.append(tuple(seq))
         visited.update(seq)
     return PairGraph(n, tuple(components))
 
@@ -152,17 +140,12 @@ def _walk(first: list[int], second: list[int], start: int, v: int) -> list[int]:
 
 
 def certify(pg: PairGraph, cover_size: int) -> Certificate:
-    """Lower bound: sum of ceil(m/2) over components, cycles opened first.
-
-    A cycle contributes with one edge removed; the bound is independent of
-    which edge (it depends only on the count), the recorded removed edge
-    exists purely for deterministic reporting.
-    """
-    lb = 0
-    for comp in pg.components:
-        m = comp.edge_count if comp.kind == PATH else comp.edge_count - 1
-        lb += (m + 1) // 2
+    """Lower bound: the pair graph's maximum matching, floor(L/2) for each
+    component of L nodes, path or cycle. Every second pair edge along a
+    node sequence is such a matching, and any vertex cover takes one end of
+    each of its edges."""
+    lb = sum(len(nodes) // 2 for nodes in pg.components)
     if lb == 0 and cover_size > 0:
         raise AnalysisFault(f"zero lower bound with nonempty cover of size {cover_size}")
     ratio = Fraction(cover_size, lb) if lb > 0 else None
-    return Certificate(lb, cover_size, ratio)
+    return Certificate(lb, ratio)

@@ -4,13 +4,14 @@
 to its `partner`, into a set, finds each component with a depth-first
 search, then walks it again from its smaller endpoint (a path) or its
 smallest node (a cycle), testing each step against the list walked so far,
-O(L^2) for a component of L nodes. It also re-checks that the components
-partition the cover and that each has the node count its kind implies.
+O(L^2) for a component of L nodes, and returns each component as its node
+sequence. It also re-checks that the components partition the cover and
+that each has the node count its kind (path or cycle) and edge count imply.
 `portvc.analysis.build_pair_graphs` is checked against it.
 """
 from __future__ import annotations
 
-from portvc.analysis import CYCLE, PATH, Component, PairGraph
+from portvc.analysis import PairGraph
 from portvc.errors import AnalysisFault
 from portvc.graph import PortGraph
 from portvc.simulator import CoverResult
@@ -46,38 +47,38 @@ def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
             f"only-cover={sorted(result.cover - non_isolated)}"
         )
 
-    components: list[Component] = []
+    components: list[tuple[int, ...]] = []
+    kinds: list[tuple[str, int]] = []  # each component's kind and pair-edge count
     visited: set[int] = set()
     for start in sorted(adj):
         if start in visited:
             continue
         comp_nodes = _component_of(adj, start)
+        edge_count = sum(len(adj[v]) for v in comp_nodes) // 2
         endpoints = sorted(v for v in comp_nodes if len(adj[v]) == 1)
         if endpoints:
             seq = _walk(adj, endpoints[0])
             if len(endpoints) != 2 or seq[-1] != endpoints[1]:
                 raise AnalysisFault(f"component at node {start} is not a simple path")
-            components.append(Component(PATH, tuple(seq), len(seq) - 1, None))
+            components.append(tuple(seq))
+            kinds.append(("path", edge_count))
         else:
             # all degrees exactly 2: must be a cycle
             first = min(comp_nodes)
             seq = _walk(adj, first, cycle=True)
             if len(seq) != len(comp_nodes):
                 raise AnalysisFault(f"component at node {start} is not a simple cycle")
-            removed = min(
-                (u, v) if u < v else (v, u)
-                for u, v in zip(seq, seq[1:] + [seq[0]])
-            )
-            components.append(Component(CYCLE, tuple(seq), len(seq), removed))
+            components.append(tuple(seq))
+            kinds.append(("cycle", edge_count))
         visited.update(comp_nodes)
 
-    covered = [v for comp in components for v in comp.nodes]
+    covered = [v for nodes in components for v in nodes]
     if len(covered) != len(set(covered)) or set(covered) != set(result.cover):
         raise AnalysisFault("components do not partition the cover")
-    for comp in components:
-        expected = comp.edge_count + 1 if comp.kind == PATH else comp.edge_count
-        if len(comp.nodes) != expected:
-            raise AnalysisFault(f"{comp.kind} component has wrong node count")
+    for nodes, (kind, edge_count) in zip(components, kinds):
+        expected = edge_count + 1 if kind == "path" else edge_count
+        if len(nodes) != expected:
+            raise AnalysisFault(f"{kind} component has wrong node count")
     return PairGraph(g.node_count, tuple(components))
 
 

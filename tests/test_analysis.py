@@ -5,9 +5,6 @@ import pytest
 
 from portvc.algorithm import NodeState
 from portvc.analysis import (
-    CYCLE,
-    PATH,
-    Component,
     PairGraph,
     build_pair_graphs,
     certify,
@@ -16,9 +13,9 @@ from portvc.analysis import (
 )
 from portvc.errors import AnalysisFault
 from portvc.graph import EdgeList, PortGraph, from_edge_list
-from portvc.simulator import run
+from portvc.simulator import CoverResult, run
 
-from conftest import consistent_cycle, cycle, k2, star
+from conftest import consistent_cycle, cycle, k2, pair_edges, path, star
 
 
 class TestCheckCover:
@@ -60,21 +57,15 @@ class TestBuildPairGraphs:
         g = k2()
         res, _ = run(g)
         pg = build_pair_graphs(g, res)
-        assert len(pg.components) == 1
-        comp = pg.components[0]
-        assert comp.kind == PATH
-        assert comp.edge_count == 1
-        assert set(comp.nodes) == {0, 1}
+        assert pg.components == ((0, 1),)
 
     def test_consistent_c4_single_cycle(self):
         g = consistent_cycle(4)
         res, _ = run(g)
         pg = build_pair_graphs(g, res)
-        assert len(pg.components) == 1
-        comp = pg.components[0]
-        assert comp.kind == CYCLE
-        assert comp.edge_count == 4
-        assert comp.removed_edge == (0, 1)
+        # a cycle starts at its smallest node, towards its smaller neighbour
+        assert pg.components == ((0, 1, 2, 3),)
+        assert pair_edges(res) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_empty_graph_no_components(self):
         g = from_edge_list(EdgeList.from_pairs(4, []))
@@ -87,7 +78,7 @@ class TestBuildPairGraphs:
         g = star(5)
         res, _ = run(g)
         pg = build_pair_graphs(g, res)
-        covered = [v for c in pg.components for v in c.nodes]
+        covered = [v for nodes in pg.components for v in nodes]
         assert sorted(covered) == sorted(res.cover)
         assert len(covered) == len(set(covered))
 
@@ -108,25 +99,25 @@ class TestBuildPairGraphs:
             build_pair_graphs(g, bogus)
 
 
-def _single_component_pg(comp: Component) -> PairGraph:
-    return PairGraph(node_count=len(comp.nodes), components=(comp,))
+def _single_component_pg(nodes: tuple[int, ...]) -> PairGraph:
+    return PairGraph(node_count=len(nodes), components=(nodes,))
 
 
 class TestCertify:
     def test_worst_case_path_of_two_edges(self):
-        pg = _single_component_pg(Component(PATH, (0, 1, 2), 2, None))
+        pg = _single_component_pg((0, 1, 2))
         cert = certify(pg, 3)
         assert cert.lower_bound == 1
         assert cert.certified_ratio == Fraction(3, 1)
 
     def test_single_edge_path(self):
-        pg = _single_component_pg(Component(PATH, (0, 1), 1, None))
+        pg = _single_component_pg((0, 1))
         cert = certify(pg, 2)
         assert cert.lower_bound == 1
         assert cert.certified_ratio == Fraction(2, 1)
 
     def test_cycle_of_four(self):
-        pg = _single_component_pg(Component(CYCLE, (0, 1, 2, 3), 4, (0, 1)))
+        pg = _single_component_pg((0, 1, 2, 3))
         cert = certify(pg, 4)
         assert cert.lower_bound == 2
         assert cert.certified_ratio == Fraction(2, 1)
@@ -142,19 +133,26 @@ class TestCertify:
         with pytest.raises(AnalysisFault):
             certify(pg, 2)
 
-    def test_cycle_bound_independent_of_removed_edge(self):
-        # the bound depends only on the edge count, not on which edge is opened
-        for removed in [(0, 1), (1, 2), (2, 3), (0, 3)]:
-            pg = _single_component_pg(Component(CYCLE, (0, 1, 2, 3), 4, removed))
-            assert certify(pg, 4).lower_bound == 2
+    @pytest.mark.parametrize("kind, nodes", [("path", n) for n in range(2, 8)]
+                             + [("cycle", n) for n in range(3, 8)])
+    def test_bound_is_half_the_node_count(self, kind, nodes):
+        # each node pairs with the next, around the cycle too: a path of L - 1
+        # pair edges or a cycle of L, both with floor(L/2) disjoint ones
+        g = path(nodes) if kind == "path" else cycle(nodes)
+        nxt = tuple(v + 1 if v + 1 < nodes else -1 if kind == "path" else 0
+                    for v in range(nodes))
+        res = CoverResult(frozenset(range(nodes)), nxt, 1, 0)
+        assert len(pair_edges(res)) == (nodes - 1 if kind == "path" else nodes)
+        pg = build_pair_graphs(g, res)
+        assert [len(c) for c in pg.components] == [nodes]
+        cert = certify(pg, nodes)
+        assert cert.lower_bound == nodes // 2
+        assert cert.certified_ratio == Fraction(nodes, nodes // 2)
 
     def test_multi_component_sum(self):
         pg = PairGraph(
             node_count=8,
-            components=(
-                Component(PATH, (0, 1), 1, None),
-                Component(PATH, (2, 3, 4), 2, None),
-            ),
+            components=((0, 1), (2, 3, 4)),
         )
         cert = certify(pg, 5)
         assert cert.lower_bound == 2

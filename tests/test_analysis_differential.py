@@ -1,11 +1,11 @@
 """Differential and scale tests for the pair-graph decomposition.
 
 `build_pair_graphs` must return a `PairGraph` equal to the one
-`reference_build_pair_graphs` returns (same components, in the same order,
-with the same node order, edge count and removed edge), or raise an
-`AnalysisFault` with the same message: on the corpus, on Hypothesis graphs,
-on long paths and cycles, and on fabricated `CoverResult`s whose partner
-arrays and covers no genuine run produces.
+`reference_build_pair_graphs` returns (the same node sequences, in the same
+order and orientation), or raise an `AnalysisFault` with the same message:
+on the corpus, on Hypothesis graphs, on long paths and cycles, and on
+fabricated `CoverResult`s whose partner arrays and covers no genuine run
+produces.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portvc.analysis import PATH, build_pair_graphs
+from portvc.analysis import build_pair_graphs, certify
 from portvc.checks import analyze
 from portvc.errors import AnalysisFault
 from portvc.graph import PortGraph
@@ -46,6 +46,25 @@ def test_corpus_matches_reference(numbering):
         assert build_pair_graphs(g, res) == reference_build_pair_graphs(g, res)
         checked += 1
     assert checked == 12113
+
+
+@pytest.mark.parametrize("numbering", ["sorted", "random"])
+def test_bound_is_the_pair_graphs_maximum_matching(numbering):
+    """An oracle independent of the node sequences: `certify`'s bound equals
+    a maximum matching of the pair edges, found by networkx."""
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for index, (n, pairs) in enumerate(load_corpus(max_n=7)):
+        g = g_from_pairs(n, pairs, numbering, index if numbering == "random" else None)
+        res, _ = run(g)
+        edges = pair_edges(res)
+        pg = build_pair_graphs(g, res)
+        for nodes in pg.components:
+            assert all(((u, v) if u < v else (v, u)) in edges for u, v in zip(nodes, nodes[1:]))
+        matching = nx.max_weight_matching(nx.Graph(list(edges)), maxcardinality=True)
+        assert certify(pg, res.cover_size).lower_bound == len(matching)
+        checked += 1
+    assert checked == 996
 
 
 @given(port_graphs())
@@ -135,5 +154,5 @@ def test_long_pair_path_in_linear_time():
     ra = analyze(path(n))
     elapsed = time.perf_counter() - t0
     assert ra.all_pass
-    assert [(c.kind, len(c.nodes)) for c in ra.pair_graph.components] == [(PATH, 2), (PATH, n - 2)]
+    assert [len(nodes) for nodes in ra.pair_graph.components] == [2, n - 2]
     assert elapsed < 30.0, f"analyze(path({n})) took {elapsed:.1f} s"

@@ -120,7 +120,7 @@ class TestRun:
 
 class TestMalformedTables:
     """A malformed port table built in code is refused by `run`, with a
-    `ProtocolFault` naming the step and the node."""
+    `ProtocolFault` naming the step and the node, or the row count."""
 
     @pytest.mark.parametrize("u", [-1, 5])
     def test_proposal_to_no_node_is_refused(self, u):
@@ -217,6 +217,18 @@ class TestMalformedTables:
     def test_round_fault_is_named(self, ports, message):
         with pytest.raises(ProtocolFault, match=rf"^{re.escape(message)}$"):
             run(PortGraph(len(ports), ports))
+
+    @pytest.mark.parametrize("n, ports", [
+        # step 1 would scan node 1, which has no row
+        (3, ((),)),
+        # a row past the last node: node 1 would be left out of the run
+        (1, ((), ())),
+    ])
+    def test_row_count_other_than_node_count_is_refused(self, n, ports):
+        message = f"port table has {len(ports)} rows for {n} nodes"
+        for engine in (run, reference_run):
+            with pytest.raises(ProtocolFault, match=rf"^{message}$"):
+                engine(PortGraph(n, ports))
 
 
 class TestTranscriptText:
