@@ -1,6 +1,7 @@
 """Structural analysis of a run: pair symmetry, pair graphs, certificate.
 
-The pair edges of a run, one from each node to its `CoverResult.partner`,
+Every check reads the run's node-indexed arrays in `CoverResult`: `cover`,
+`partner` and `accepted`. The pair edges, one from each node to its partner,
 induce a subgraph of maximum degree 2 whose non-isolated nodes are exactly
 the cover; its components are paths and cycles, each found by one walk
 over node-indexed neighbour arrays in O(n + m) time and kept as its node
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .algorithm import NodeState
 from .errors import AnalysisFault
 from .graph import PortGraph
 from .simulator import CoverResult
@@ -26,7 +26,6 @@ class PairGraph:
     the node sequences of its paths and cycles. Consecutive nodes of a
     sequence are joined by a pair edge, and so are the ends of a cycle."""
 
-    node_count: int
     components: tuple[tuple[int, ...], ...]
 
 
@@ -40,23 +39,21 @@ class Certificate:
 
 def check_cover(g: PortGraph, cover) -> bool:
     """True iff every node outside `cover` has all its neighbours in it."""
-    cover = set(cover)
+    cover = frozenset(cover)
     return all(u in cover for v, es in enumerate(g.ports) if v not in cover for u, _ in es)
 
 
-def check_pair_symmetry(g: PortGraph, states: tuple[NodeState, ...]) -> bool:
-    """True iff each node's accepted proposal (port `a`) reaches a node whose
-    accepted incoming proposal (port `b`) leads back; else `AnalysisFault`."""
-    for v, st in enumerate(states):
-        if st.a is None:
+def check_pair_symmetry(g: PortGraph, result: CoverResult) -> bool:
+    """True iff each node's partner u is a node whose accepted incoming
+    proposal, port `accepted[u]`, leads back to it; else `AnalysisFault`."""
+    n, ports, accepted = g.node_count, g.ports, result.accepted
+    for v, u in enumerate(result.partner):
+        if u == -1:
             continue
-        u = g.ports[v][st.a - 1][0]
-        b = states[u].b if 0 <= u < g.node_count else None
-        if b is None or g.ports[u][b - 1][0] != v:
-            raise AnalysisFault(
-                f"pair symmetry violated: node {v} accepted via port {st.a} to "
-                f"node {u}, whose b={b} does not lead back"
-            )
+        b = accepted[u] if 0 <= u < n else 0
+        if not 0 < b <= len(ports[u]) or ports[u][b - 1][0] != v:
+            raise AnalysisFault(f"pair symmetry violated: node {v} is paired with node {u}, "
+                                f"whose accepted port {b} does not lead back")
     return True
 
 
@@ -123,7 +120,7 @@ def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
                 seq.reverse()
         components.append(tuple(seq))
         visited.update(seq)
-    return PairGraph(n, tuple(components))
+    return PairGraph(tuple(components))
 
 
 def _walk(first: list[int], second: list[int], start: int, v: int) -> list[int]:

@@ -7,13 +7,14 @@ pair-graph checks (`g1-max-degree-2`, `g1-nonisolated-equals-C`,
 `components-paths-or-cycles`) share one layer, `build_pair_graphs`, so they
 fail together, and `certified-ratio-le-3` fails with them because the
 certificate is computed from the pair graph. Pair symmetry is a verdict
-like the others. `projection-equals-cover` compares two independent
-derivations of the run: the projected cover with `CoverResult.cover`, and
-the double-cover `mate` array, read from the accepts in `Transcript.flat`,
-with `CoverResult.partner`, read from the engine's states. The second is
-directed: node u's proposal accepted by v on one side, u's partner v on
-the other. A failed check still yields a full report (`vc` prints it
-and exits 3); only a `ProtocolFault` from the engine ends `vc` with no report.
+like the others, read from `CoverResult.partner` and `accepted`.
+`projection-equals-cover` compares two independent derivations of the run:
+the projected cover with `CoverResult.cover`, and the double-cover `mate`
+array, read from the accepts in `Transcript.flat`, with `partner`, built by
+the engine from each node's port `a`. The second is directed: node u's
+proposal accepted by v on one side, u's partner v on the other. A failed
+check still yields a full report (`vc` prints it and exits 3); only a
+`ProtocolFault` from the engine ends `vc` with no report.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def analyze(g: PortGraph) -> RunAnalysis:
     h = _or_none(double_cover.extract_matching, double_cover.build_double_cover(g), transcript.flat)
     checks = {
         "cover-valid": analysis.check_cover(g, result.cover),
-        "pair-symmetry": bool(_or_none(analysis.check_pair_symmetry, g, transcript.final_states)),
+        "pair-symmetry": bool(_or_none(analysis.check_pair_symmetry, g, result)),
         "g1-max-degree-2": pair_graph is not None,
         "g1-nonisolated-equals-C": pair_graph is not None,
         "components-paths-or-cycles": pair_graph is not None,

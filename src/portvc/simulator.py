@@ -9,20 +9,19 @@ that form. `Transcript.entries` builds one `TranscriptEntry` per send from
 it, when something first reads it.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
-reports it. A node's state is `a` and `b`, the ports of its accepted
-proposals: at step 2r-1 each node with none accepted proposes on its port r,
-if it has one, so `NodeState.i` is the round and `c` is "`a` or `b` set".
-Step 1 scans every node; later steps visit only the proposers of two steps
-earlier, or the receivers of proposals. The run stops at the first step that
-sends nothing. Each node proposes at most d(v) times, so it costs O(n + m).
+reports it. A node's state and output are `a` and `b`, the ports of its
+accepted proposals, 0 for none: at step 2r-1 each node with none accepted
+proposes on its port r, if it has one. Step 1 scans every node; later steps
+visit only the proposers of two steps earlier, or the receivers of
+proposals. The run stops at the first step that sends nothing. Each node
+proposes at most d(v) times, so it costs O(n + m). `CoverResult` holds the
+outputs as node-indexed arrays: `cover`, the nodes with `a` or `b` set;
+`partner`, the neighbour behind port `a`, or -1; `accepted`, port `b`.
 
 The transitions in `algorithm` remain the specification. Any delivery the
 engine does not expect goes to one helper, `_fault`. It raises the fault a
 step-by-step run meets first: the first send of the step before to no node,
 else the lowest node whose delivery the transitions refuse.
-
-`CoverResult.partner` holds the run's pair relation as one int per node:
-the neighbour behind the port of its accepted proposal, or -1.
 """
 from __future__ import annotations
 
@@ -51,11 +50,9 @@ class TranscriptEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Transcript:
-    """Every send as (step, sender, sender port, kind text) in `flat`, plus the
-    final node states."""
+    """Every send as (step, sender, sender port, kind text) in `flat`."""
 
     flat: tuple[int | str, ...]
-    final_states: tuple[NodeState, ...]
 
     @cached_property
     def entries(self) -> tuple[TranscriptEntry, ...]:
@@ -67,6 +64,7 @@ class Transcript:
 class CoverResult:
     cover: frozenset[int]
     partner: tuple[int, ...]  # per node: where its accepted proposal went, or -1
+    accepted: tuple[int, ...]  # per node: the port of its accepted incoming proposal, or 0
     rounds_run: int
     last_active_step: int
 
@@ -91,8 +89,8 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
         raise ProtocolFault(f"port table has {len(ports)} rows for {n} nodes")
     deg = [len(p) for p in ports]
     # node state: the ports of the accepted outgoing and incoming proposals
-    a: list[int | None] = [None] * n
-    b: list[int | None] = [None] * n
+    a = [0] * n
+    b = [0] * n
     horizon = horizon_for(g)
     flat: list[int | str] = []
     extend = flat.extend
@@ -149,17 +147,10 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
             break
         last_active = t
 
-    # i = d + 1 if no proposal was accepted; frozen, so the few states are shared
-    in_cover = [av is not None or bv is not None for av, bv in zip(a, b)]
-    shared: dict[tuple, NodeState] = {}
-    states = tuple(
-        shared.get(key) or shared.setdefault(key, NodeState(*key))
-        for key in zip(deg, a, b, [av or d + 1 for av, d in zip(a, deg)], in_cover)
-    )
-    cover = frozenset(v for v in range(n) if in_cover[v])
+    cover = frozenset([v for v in range(n) if a[v] or b[v]])
     # v's accepted proposal went to the neighbour behind port a[v]
-    partner = tuple([-1 if av is None else row[av - 1][0] for row, av in zip(ports, a)])
-    return CoverResult(cover, partner, horizon, last_active), Transcript(tuple(flat), states)
+    partner = tuple([row[av - 1][0] if av else -1 for row, av in zip(ports, a)])
+    return CoverResult(cover, partner, tuple(b), horizon, last_active), Transcript(tuple(flat))
 
 
 def _fault(ports, a, b, t: int, sends, inboxes) -> NoReturn:
@@ -178,7 +169,8 @@ def _fault(ports, a, b, t: int, sends, inboxes) -> NoReturn:
         box, d = inboxes[v], len(ports[v])
         if t % 2 and len(box) > 1:
             raise ProtocolFault(f"step {t}, node {v}: {len(box)} odd-step deliveries")
-        state = NodeState(d, a[v], b[v], a[v] or min(t // 2, d + 1), bool(a[v] or b[v]))
+        av, bv = a[v] or None, b[v] or None
+        state = NodeState(d, av, bv, av or min(t // 2, d + 1), bool(av or bv))
         step, inbox = (odd_step, box[0]) if t % 2 else (even_step, [(k, PROPOSE) for k in box])
         try:
             step(state, inbox)

@@ -79,7 +79,7 @@ def reference_build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
         expected = edge_count + 1 if kind == "path" else edge_count
         if len(nodes) != expected:
             raise AnalysisFault(f"{kind} component has wrong node count")
-    return PairGraph(g.node_count, tuple(components))
+    return PairGraph(tuple(components))
 
 
 def _component_of(adj: dict[int, list[int]], start: int) -> set[int]:

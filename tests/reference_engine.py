@@ -119,8 +119,9 @@ def reference_run(
             history.append(tuple(states))
 
     cover = frozenset(v for v in range(n) if states[v].c)
-    # as in `run`: v's accepted proposal went to the neighbour behind port a
+    # as in `run`: v's accepted proposal went to the neighbour behind port a,
+    # and `accepted` is port b, 0 for none
     partner = tuple(g.ports[v][st.a - 1][0] if st.a else -1 for v, st in enumerate(states))
-    result = CoverResult(cover, partner, steps, last_active)
-    transcript = Transcript(flatten(entries), tuple(states))
-    return result, transcript, history
+    accepted = tuple(st.b or 0 for st in states)
+    result = CoverResult(cover, partner, accepted, steps, last_active)
+    return result, Transcript(flatten(entries)), history

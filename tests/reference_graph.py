@@ -16,10 +16,10 @@ The reference readers take an integer token only as an optional sign then
 ASCII digits, `INTEGER_TOKEN`: `int` alone would also read `1_0` as 10 and
 non-ASCII digits such as `٢` as 2.
 
-`edge_set`, `validate`, `relabel` and `serialize` are graph helpers that
-only the tests use: a port table's undirected edges, the list of its broken
-invariants, a renaming of its nodes, and the `.pg` text that
-`portvc.graph.parse` reads.
+`edge_set`, `validate`, `relabel`, `serialize` and `ball` are graph helpers
+that only the tests use: a port table's undirected edges, the list of its
+broken invariants, a renaming of its nodes, the `.pg` text that
+`portvc.graph.parse` reads, and the port-numbered neighbourhood of a node.
 """
 from __future__ import annotations
 
@@ -91,6 +91,35 @@ def serialize(g: PortGraph) -> str:
         entries = g.ports[v]
         lines.append(" ".join([str(v), str(len(entries))] + [str(u) for u, _ in entries]))
     return "\n".join(lines) + "\n"
+
+
+def ball(g: PortGraph, v: int, r: int) -> tuple[PortGraph, list[int]]:
+    """The ball of radius r around v, and the old id of each of its nodes.
+
+    The nodes within distance r of v are renumbered by (distance, id), so v
+    is node 0. A node at distance < r keeps its row: all its neighbours are
+    in the ball, and each keeps its port number. A node at distance r keeps
+    only its edges to nodes in the ball, renumbered 1, 2, ... in their old
+    order.
+    """
+    dist = {v: 0}
+    frontier = [v]
+    for d in range(1, r + 1):
+        reached = []
+        for x in frontier:
+            for u, _ in g.ports[x]:
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
+    old = sorted(dist, key=lambda x: (dist[x], x))
+    new = {x: i for i, x in enumerate(old)}
+    port = {}  # (old id, old port) -> new port, of each edge kept
+    for x in old:
+        kept = [j for j, (u, _) in enumerate(g.ports[x], start=1) if u in new]
+        port.update(((x, j), k) for k, j in enumerate(kept, start=1))
+    rows = tuple(tuple((new[u], port[u, k]) for u, k in g.ports[x] if u in new) for x in old)
+    return PortGraph(len(old), rows), old
 
 
 def _from_neighbour_orders(node_count: int, orders) -> PortGraph:

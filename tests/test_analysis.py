@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from portvc.algorithm import NodeState
 from portvc.analysis import (
     PairGraph,
     build_pair_graphs,
@@ -38,18 +37,46 @@ class TestCheckCover:
 class TestCheckPairSymmetry:
     @pytest.mark.parametrize("g", [k2(), star(3), cycle(5), consistent_cycle(6)])
     def test_genuine_run_is_symmetric(self, g):
-        assert check_pair_symmetry(g, run(g)[1].final_states) is True
+        assert check_pair_symmetry(g, run(g)[0]) is True
+
+    def test_partner_that_accepted_nothing_is_a_fault(self):
+        # on K2, node 0 is paired with node 1, which accepted no proposal
+        res = CoverResult(frozenset({0, 1}), (1, -1), (0, 0), 3, 2)
+        with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired "
+                           r"with node 1, whose accepted port 0 does not lead back$"):
+            check_pair_symmetry(k2(), res)
+
+    def test_accepted_port_to_a_third_node_is_a_fault(self):
+        # on the triangle, node 0 is paired with node 1, whose accepted port
+        # leads on to node 2
+        g = cycle(3)
+        port_to_2 = 1 + [u for u, _ in g.ports[1]].index(2)
+        res = CoverResult(frozenset({0, 1, 2}), (1, -1, -1), (0, port_to_2, 0), 5, 2)
+        with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired "
+                           rf"with node 1, whose accepted port {port_to_2} does not lead back$"):
+            check_pair_symmetry(g, res)
+
+    def test_accepted_port_outside_the_row_is_a_fault(self):
+        # on the triangle, node 1's row has ports 1 and 2: port -1 would index
+        # its port 1, which leads back to node 0, and port 3 no entry
+        g = cycle(3)
+        for port in (-1, 3):
+            res = CoverResult(frozenset({0, 1}), (1, -1, -1), (0, port, 0), 5, 2)
+            with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired "
+                               rf"with node 1, whose accepted port {port} does not lead back$"):
+                check_pair_symmetry(g, res)
 
     def test_partner_that_is_no_node_is_a_fault(self):
-        # node 0's port 1 names node -1, and node 0 ends with its proposal on
-        # that port accepted: it is paired with a node that is not there.
-        # (`run` refuses the proposal; these are the states an engine that
-        # read -1 as node 1 returned.)
-        g = PortGraph(2, (((-1, 1),), ((0, 1),)))
-        states = (NodeState(1, a=1, b=1, i=1, c=True), NodeState(1, a=None, b=1, i=2, c=True))
-        with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 accepted via "
-                           r"port 1 to node -1, whose b=None does not lead back$"):
-            check_pair_symmetry(g, states)
+        # node 0's port 1 names node u, outside 0..1, and node 0 ends with its
+        # proposal on that port accepted: it is paired with a node that is
+        # not there. (`run` refuses the proposal; this is the result an
+        # engine that read u as node 1 returned. -1 is `partner`'s "none".)
+        for u in (2, -2):
+            g = PortGraph(2, (((u, 1),), ((0, 1),)))
+            res = CoverResult(frozenset({0, 1}), (u, -1), (1, 1), 3, 2)
+            with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired "
+                               rf"with node {u}, whose accepted port 0 does not lead back$"):
+                check_pair_symmetry(g, res)
 
 
 class TestBuildPairGraphs:
@@ -100,7 +127,7 @@ class TestBuildPairGraphs:
 
 
 def _single_component_pg(nodes: tuple[int, ...]) -> PairGraph:
-    return PairGraph(node_count=len(nodes), components=(nodes,))
+    return PairGraph(components=(nodes,))
 
 
 class TestCertify:
@@ -123,13 +150,13 @@ class TestCertify:
         assert cert.certified_ratio == Fraction(2, 1)
 
     def test_empty_cover_has_no_ratio(self):
-        pg = PairGraph(3, ())
+        pg = PairGraph(())
         cert = certify(pg, 0)
         assert cert.lower_bound == 0
         assert cert.certified_ratio is None
 
     def test_zero_bound_with_cover_is_a_fault(self):
-        pg = PairGraph(3, ())
+        pg = PairGraph(())
         with pytest.raises(AnalysisFault):
             certify(pg, 2)
 
@@ -141,7 +168,7 @@ class TestCertify:
         g = path(nodes) if kind == "path" else cycle(nodes)
         nxt = tuple(v + 1 if v + 1 < nodes else -1 if kind == "path" else 0
                     for v in range(nodes))
-        res = CoverResult(frozenset(range(nodes)), nxt, 1, 0)
+        res = CoverResult(frozenset(range(nodes)), nxt, (0,) * nodes, 1, 0)
         assert len(pair_edges(res)) == (nodes - 1 if kind == "path" else nodes)
         pg = build_pair_graphs(g, res)
         assert [len(c) for c in pg.components] == [nodes]
@@ -150,10 +177,7 @@ class TestCertify:
         assert cert.certified_ratio == Fraction(nodes, nodes // 2)
 
     def test_multi_component_sum(self):
-        pg = PairGraph(
-            node_count=8,
-            components=((0, 1), (2, 3, 4)),
-        )
+        pg = PairGraph(components=((0, 1), (2, 3, 4)))
         cert = certify(pg, 5)
         assert cert.lower_bound == 2
         assert cert.certified_ratio == Fraction(5, 2)

@@ -117,19 +117,19 @@ def fabricated_results(draw):
                     deg[p] += 1
             else:
                 partner[v] = -1
-    cover = {v for e in pair_edges(CoverResult(frozenset(), tuple(partner), 1, 0)) for v in e}
+    cover = {v for e in pair_edges(CoverResult(frozenset(), tuple(partner), (), 1, 0)) for v in e}
     if not draw(st.integers(0, 4)):
         if cover and draw(st.booleans()):
             cover.discard(draw(st.sampled_from(sorted(cover))))
         else:
             cover.add(draw(st.integers(min_value=0, max_value=n + 1)))
-    return g, CoverResult(frozenset(cover), tuple(partner), 1, 0)
+    return g, CoverResult(frozenset(cover), tuple(partner), (0,) * n, 1, 0)
 
 
 def _fabricated(g: PortGraph, partner: tuple[int, ...]) -> tuple[PortGraph, CoverResult]:
     """`g` with the given partners, and the non-isolated nodes as the cover."""
-    cover = frozenset(v for e in pair_edges(CoverResult(frozenset(), partner, 1, 0)) for v in e)
-    return g, CoverResult(cover, partner, 1, 0)
+    cover = frozenset(v for e in pair_edges(CoverResult(frozenset(), partner, (), 1, 0)) for v in e)
+    return g, CoverResult(cover, partner, (0,) * len(partner), 1, 0)
 
 
 @given(fabricated_results())

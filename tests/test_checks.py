@@ -91,11 +91,11 @@ def test_one_faulty_layer_fails_exactly_its_checks(monkeypatch, case):
 
 def test_directed_triangle_yields_a_full_report():
     # each node's port leads on to the next node, never back: every proposal
-    # is accepted, but no accepted proposal is answered by its partner's b
+    # is accepted, but no partner's accepted port leads back
     g = PortGraph(3, (((1, 1),), ((2, 1),), ((0, 1),)))
-    with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 accepted via "
-                       r"port 1 to node 1, whose b=1 does not lead back$"):
-        analysis.check_pair_symmetry(g, run(g)[1].final_states)
+    with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired with "
+                       r"node 1, whose accepted port 1 does not lead back$"):
+        analysis.check_pair_symmetry(g, run(g)[0])
     ra = analyze(g)
     assert tuple(ra.checks) == CHECK_NAMES
     assert ra.checks["pair-symmetry"] is False
@@ -104,19 +104,36 @@ def test_directed_triangle_yields_a_full_report():
 
 def test_reversed_pair_fails_only_the_projection(monkeypatch):
     """`projection-equals-cover` compares the double-cover `mate` with
-    `partner` as directed arrays. Reversing one non-reciprocal pair, u's
-    proposal accepted by v read as v's accepted by u, leaves the pair edges,
-    and so the pair-graph checks, as they are."""
+    `partner` as directed arrays. Reversing a chain of accepted proposals,
+    each u's proposal accepted by v read as v's accepted by u, with
+    `accepted` reversed to match, leaves the pair edges, and so the
+    pair-graph and pair-symmetry checks, as they are.
+
+    A single pair cannot be reversed alone: a node v whose proposals were all
+    rejected proposed to every neighbour, so u, whose proposal v accepted,
+    had already accepted one, and reversing u and v alone leaves two nodes
+    paired with u. The chain starts at a node that accepted none and
+    follows `partner` to a node whose proposals were all rejected; on
+    Petersen it is 6, 8, 3, 2."""
     original = simulator.run
+    chains = []
 
-    def reversed_pair(g):
+    def reversed_chain(g):
         result, transcript = original(g)
-        partner = list(result.partner)
-        u = next(u for u, v in enumerate(partner) if v != -1 and partner[v] == -1)
-        partner[partner[u]], partner[u] = u, -1
-        return dataclasses.replace(result, partner=tuple(partner)), transcript
+        partner, accepted = list(result.partner), list(result.accepted)
+        chain = [next(x for x, u in enumerate(partner) if u != -1 and not accepted[x])]
+        while partner[chain[-1]] != -1:
+            chain.append(partner[chain[-1]])
+        chains.append(chain)
+        partner[chain[0]], accepted[chain[-1]] = -1, 0
+        for x, y in zip(chain, chain[1:]):
+            partner[y] = x
+            accepted[x] = 1 + [u for u, _ in g.ports[x]].index(y)
+        return dataclasses.replace(result, partner=tuple(partner), accepted=tuple(accepted)), \
+            transcript
 
-    monkeypatch.setattr(simulator, "run", reversed_pair)
+    monkeypatch.setattr(simulator, "run", reversed_chain)
     ra = analyze(petersen())
+    assert chains == [[6, 8, 3, 2]]
     assert {check for check, ok in ra.checks.items() if not ok} == {"projection-equals-cover"}
     assert ra.pair_graph == analysis.build_pair_graphs(petersen(), original(petersen())[0])

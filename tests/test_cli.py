@@ -322,7 +322,7 @@ class TestVerify:
 
 class TestFailingChecks:
     def test_failed_check_still_prints_the_full_report(self, capsys, monkeypatch, star3_el):
-        def one_sided_pairing(g, states):
+        def one_sided_pairing(g, result):
             raise AnalysisFault("pair symmetry violated: injected")
         _, passing, _ = run_cli(capsys, "run", "--input", star3_el)
         for layer, replacement, check in [

@@ -48,8 +48,9 @@ def _assert_same_run(g: PortGraph) -> None:
     assert tr.entries == ref_tr.entries
     # (t, v, port) order, which `format_transcript` writes without sorting
     assert list(tr.entries) == sorted(tr.entries, key=itemgetter(0, 1, 2))
-    assert tr.final_states == ref_tr.final_states
-    assert res == ref_res  # cover, partner, rounds_run, last_active_step
+    # cover, partner and accepted (the final states' c, a and b), rounds_run
+    # and last_active_step
+    assert res == ref_res
 
 
 @pytest.mark.parametrize("numbering", ["sorted", "random"])
