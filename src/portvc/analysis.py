@@ -67,10 +67,12 @@ def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
     the port table of their smaller end; degree <= 2, else the smallest
     node above it is named; non-isolated nodes equal the cover); a violation
     is an analysis fault, never a property of a genuine run. Once they hold,
-    every component is a simple path or cycle, and one walk per component
-    decomposes it in O(n + m) time. Components come in order of their
-    smallest node; a path starts at its smaller end, a cycle at its smallest
-    node, towards that node's smaller neighbour.
+    every component is a simple path or cycle, walked once from where its
+    sequence starts, in O(n + m) time: first from each path end in
+    ascending order, so a path starts at its smaller end; then from each
+    node not yet reached, which is the smallest node of its cycle, towards
+    that node's smaller neighbour. A final sort puts the components in order
+    of their smallest node.
     """
     n = g.node_count
     ports = g.ports
@@ -104,36 +106,20 @@ def build_pair_graphs(g: PortGraph, result: CoverResult) -> PairGraph:
         )
 
     components: list[tuple[int, ...]] = []
-    visited: set[int] = set()
-    for start in range(n):
-        if not deg[start] or start in visited:
-            continue
-        # start is the smallest node of its component
-        near, far = first[start], second[start]
-        if far != -1 and far < near:
-            near, far = far, near
-        seq = [start] + _walk(first, second, start, near)
-        if deg[seq[-1]] != 2:  # a path: the walk did not come back to start
-            if far != -1:  # start lies inside the path
-                seq[:0] = reversed(_walk(first, second, start, far))
-            if seq[-1] < seq[0]:
-                seq.reverse()
-        components.append(tuple(seq))
-        visited.update(seq)
+    seen = [False] * n
+    for d in (1, 2):  # path ends first, then the nodes left, each a cycle's smallest
+        for start in range(n):
+            if deg[start] != d or seen[start]:
+                continue
+            seq = [start]
+            prev, v = start, first[start] if d == 1 else min(first[start], second[start])
+            while v != -1 and v != start:  # past a path's other end, or round a cycle
+                seq.append(v)
+                seen[v] = True
+                prev, v = v, second[v] if first[v] == prev else first[v]
+            components.append(tuple(seq))
+    components.sort(key=min)
     return PairGraph(tuple(components))
-
-
-def _walk(first: list[int], second: list[int], start: int, v: int) -> list[int]:
-    """The nodes from v on, stepping away from start, up to a path end or
-    the node before start."""
-    seq = []
-    prev = start
-    while v != start:
-        seq.append(v)
-        if second[v] == -1:
-            break
-        prev, v = v, second[v] if first[v] == prev else first[v]
-    return seq
 
 
 def certify(pg: PairGraph, cover_size: int) -> Certificate:

@@ -76,11 +76,15 @@ class PortGraph:
     """Simple graph with 1-based port numbering at every node.
 
     `ports[v][j-1] == (u, k)` means port j of node v connects to port k of
-    node u. Immutable after construction; safe to share across threads.
+    node u. One row per node: the node count is the row count. Immutable
+    after construction; safe to share across threads.
     """
 
-    node_count: int
     ports: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.ports)
 
     @property
     def max_degree(self) -> int:
@@ -91,7 +95,7 @@ class PortGraph:
         return sum(map(len, self.ports)) // 2
 
 
-def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> PortGraph:
+def _from_neighbour_orders(orders: Sequence[Sequence[int]]) -> PortGraph:
     """Build a PortGraph from per-node neighbour orderings.
 
     Reciprocal port numbers are derived from the position of each node in
@@ -107,7 +111,7 @@ def _from_neighbour_orders(node_count: int, orders: Sequence[Sequence[int]]) -> 
         raise KeyError(v, next(u for u in orders[v] if v not in position[u])) from None
     del position
     ports = tuple(tuple(zip(nbrs, recip)) for nbrs in orders)  # zip stops at the row's end
-    return PortGraph(node_count, ports)
+    return PortGraph(ports)
 
 
 def from_edge_list(el: EdgeList, policy: str = "sorted", seed: int | None = None) -> PortGraph:
@@ -133,18 +137,18 @@ def from_edge_list(el: EdgeList, policy: str = "sorted", seed: int | None = None
         for nbrs in orders:
             nbrs.sort()
             rng.shuffle(nbrs)
-    return _from_neighbour_orders(el.node_count, orders)
+    return _from_neighbour_orders(orders)
 
 
 def permute_ports(g: PortGraph, seed: int) -> PortGraph:
     """Independently shuffle every node's port order with a seeded RNG."""
     rng = random.Random(seed)
     orders = []
-    for v in range(g.node_count):
-        nbrs = [u for u, _ in g.ports[v]]
+    for row in g.ports:
+        nbrs = [u for u, _ in row]
         rng.shuffle(nbrs)
         orders.append(nbrs)
-    return _from_neighbour_orders(g.node_count, orders)
+    return _from_neighbour_orders(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,7 @@ def parse(text: str) -> PortGraph:
         node_line[v] = lineno
     del lines, body  # freed before the port rows are built
     try:
-        g = _from_neighbour_orders(n, orders)  # type: ignore[arg-type]
+        g = _from_neighbour_orders(orders)  # type: ignore[arg-type]
     except KeyError as exc:
         v, u = exc.args
         raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v]) from None

@@ -81,12 +81,10 @@ def run(g: PortGraph) -> tuple[CoverResult, Transcript]:
     """Execute the protocol on g until no message is in flight.
 
     `rounds_run` is the full horizon. Deterministic: identical inputs yield
-    identical outputs. A table with other than `node_count` rows is refused.
+    identical outputs.
     """
     n = g.node_count
     ports = g.ports
-    if len(ports) != n:
-        raise ProtocolFault(f"port table has {len(ports)} rows for {n} nodes")
     deg = [len(p) for p in ports]
     # node state: the ports of the accepted outgoing and incoming proposals
     a = [0] * n

@@ -65,10 +65,7 @@ def clique(n: int) -> PortGraph:
 
 def consistent_cycle(n: int) -> PortGraph:
     """Cycle where every node's port 1 leads to its clockwise neighbour."""
-    return PortGraph(
-        n,
-        tuple(tuple([((v + 1) % n, 2), ((v - 1) % n, 1)]) for v in range(n)),
-    )
+    return PortGraph(tuple(tuple([((v + 1) % n, 2), ((v - 1) % n, 1)]) for v in range(n)))
 
 
 def petersen() -> PortGraph:

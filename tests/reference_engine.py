@@ -67,8 +67,6 @@ def reference_run(
     the state snapshot after every step (else an empty list).
     """
     n = g.node_count
-    if len(g.ports) != n:
-        raise ProtocolFault(f"port table has {len(g.ports)} rows for {n} nodes")
     states = [NodeState(degree=len(g.ports[v])) for v in range(n)]
     steps = horizon_for(g) + extra_steps
     entries: list[TranscriptEntry] = []

@@ -45,9 +45,6 @@ def validate(g: PortGraph) -> list[str]:
     """Return all invariant violations, empty iff the graph is well formed."""
     violations: list[str] = []
     n = g.node_count
-    if len(g.ports) != n:
-        violations.append(f"ports table has {len(g.ports)} rows, expected {n}")
-        return violations
     for v in range(n):
         seen_nbrs: set[int] = set()
         for j, (u, k) in enumerate(g.ports[v], start=1):
@@ -81,7 +78,7 @@ def relabel(g: PortGraph, perm: Sequence[int]) -> PortGraph:
     new_ports: list[tuple[tuple[int, int], ...] | None] = [None] * g.node_count
     for v in range(g.node_count):
         new_ports[perm[v]] = tuple((perm[u], k) for u, k in g.ports[v])
-    return PortGraph(g.node_count, tuple(new_ports))  # type: ignore[arg-type]
+    return PortGraph(tuple(new_ports))  # type: ignore[arg-type]
 
 
 def serialize(g: PortGraph) -> str:
@@ -119,10 +116,10 @@ def ball(g: PortGraph, v: int, r: int) -> tuple[PortGraph, list[int]]:
         kept = [j for j, (u, _) in enumerate(g.ports[x], start=1) if u in new]
         port.update(((x, j), k) for k, j in enumerate(kept, start=1))
     rows = tuple(tuple((new[u], port[u, k]) for u, k in g.ports[x] if u in new) for x in old)
-    return PortGraph(len(old), rows), old
+    return PortGraph(rows), old
 
 
-def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
+def _from_neighbour_orders(orders) -> PortGraph:
     port_of: dict[tuple[int, int], int] = {}
     for v, nbrs in enumerate(orders):
         for j, u in enumerate(nbrs, start=1):
@@ -130,7 +127,7 @@ def _from_neighbour_orders(node_count: int, orders) -> PortGraph:
     ports = tuple(
         tuple((u, port_of[(u, v)]) for u in nbrs) for v, nbrs in enumerate(orders)
     )
-    return PortGraph(node_count, ports)
+    return PortGraph(ports)
 
 
 def reference_from_edge_list(
@@ -148,7 +145,7 @@ def reference_from_edge_list(
         for nbrs in orders:
             nbrs.sort()
             rng.shuffle(nbrs)
-    return _from_neighbour_orders(el.node_count, orders)
+    return _from_neighbour_orders(orders)
 
 
 def reference_permute_ports(g: PortGraph, seed: int) -> PortGraph:
@@ -158,7 +155,7 @@ def reference_permute_ports(g: PortGraph, seed: int) -> PortGraph:
         nbrs = [u for u, _ in g.ports[v]]
         rng.shuffle(nbrs)
         orders.append(nbrs)
-    return _from_neighbour_orders(g.node_count, orders)
+    return _from_neighbour_orders(orders)
 
 
 def _int_tokens(tokens: list[str], line: int) -> list[int]:
@@ -216,7 +213,7 @@ def reference_parse(text: str) -> PortGraph:
         for u in orders[v]:
             if v not in orders[u]:
                 raise ParseError(f"edge {v}->{u} not reciprocated by node {u}", node_line[v])
-    g = _from_neighbour_orders(n, orders)
+    g = _from_neighbour_orders(orders)
     if g.num_edges != m:
         raise ParseError(f"header claims {m} edges, node lines give {g.num_edges}", header_line)
     return g

@@ -72,7 +72,7 @@ class TestCheckPairSymmetry:
         # not there. (`run` refuses the proposal; this is the result an
         # engine that read u as node 1 returned. -1 is `partner`'s "none".)
         for u in (2, -2):
-            g = PortGraph(2, (((u, 1),), ((0, 1),)))
+            g = PortGraph((((u, 1),), ((0, 1),)))
             res = CoverResult(frozenset({0, 1}), (u, -1), (1, 1), 3, 2)
             with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired "
                                rf"with node {u}, whose accepted port 0 does not lead back$"):

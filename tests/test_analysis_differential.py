@@ -146,13 +146,18 @@ def test_fabricated_results_match_reference(case):
     _assert_same_pair_graph(*case)
 
 
-def test_long_pair_path_in_linear_time():
-    """`path(100_000)` numbered by ascending id gives one pair path of
-    n - 2 nodes; a decomposition quadratic in its length takes minutes."""
+@pytest.mark.parametrize("family, lengths", [
+    (path, lambda n: [2, n - 2]),
+    (consistent_cycle, lambda n: [n]),
+], ids=["path", "consistent_cycle"])
+def test_long_pair_path_in_linear_time(family, lengths):
+    """`path(100_000)` numbered by ascending id gives a pair path of n - 2
+    nodes, and `consistent_cycle(100_000)` one pair cycle of n nodes; a
+    decomposition quadratic in their length takes minutes."""
     n = 100_000
     t0 = time.perf_counter()
-    ra = analyze(path(n))
+    ra = analyze(family(n))
     elapsed = time.perf_counter() - t0
     assert ra.all_pass
-    assert [len(nodes) for nodes in ra.pair_graph.components] == [2, n - 2]
-    assert elapsed < 30.0, f"analyze(path({n})) took {elapsed:.1f} s"
+    assert [len(nodes) for nodes in ra.pair_graph.components] == lengths(n)
+    assert elapsed < 30.0, f"analyze({family.__name__}({n})) took {elapsed:.1f} s"

@@ -92,7 +92,7 @@ def test_one_faulty_layer_fails_exactly_its_checks(monkeypatch, case):
 def test_directed_triangle_yields_a_full_report():
     # each node's port leads on to the next node, never back: every proposal
     # is accepted, but no partner's accepted port leads back
-    g = PortGraph(3, (((1, 1),), ((2, 1),), ((0, 1),)))
+    g = PortGraph((((1, 1),), ((2, 1),), ((0, 1),)))
     with pytest.raises(AnalysisFault, match=r"^pair symmetry violated: node 0 is paired with "
                        r"node 1, whose accepted port 1 does not lead back$"):
         analysis.check_pair_symmetry(g, run(g)[0])

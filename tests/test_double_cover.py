@@ -110,7 +110,7 @@ class TestExtractMatching:
 
     def test_accept_on_unreciprocated_port_is_a_fault(self):
         # port 1 of node 0 leads to node 1, whose port 1 leads on to node 2
-        g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
+        g = PortGraph((((1, 1),), ((2, 1),), ((1, 1),)))
         accept = (TranscriptEntry(2, 0, 1, Msg.ACCEPT),)
         with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
             extract_matching(build_double_cover(g), flatten(accept))
@@ -138,7 +138,7 @@ class TestFlatFaults:
             extract_matching(build_double_cover(k2()), (2, 0, 5, "accept"))
 
     def test_accept_maps_to_non_edge(self):
-        g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
+        g = PortGraph((((1, 1),), ((2, 1),), ((1, 1),)))
         with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(1, 3\)$"):
             extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
 
@@ -147,14 +147,14 @@ class TestFlatFaults:
         # port 1 of node 0 names node u, which does not exist: never an
         # `IndexError`, and never wrapped round by -1 to node 2, whose port 1
         # leads back to node 0
-        g = PortGraph(3, (((u, 1),), ((2, 1),), ((0, 1),)))
+        g = PortGraph((((u, 1),), ((2, 1),), ((0, 1),)))
         with pytest.raises(AnalysisFault, match=rf"^accepted proposal maps to non-edge \({u}, 3\)$"):
             extract_matching(build_double_cover(g), (2, 0, 1, "accept"))
 
     def test_accept_on_a_port_numbered_below_one(self):
         # node 1's port 1 claims node 0's port -1: never read as node 0's
         # last port, (1, 1), which would make the accept an edge
-        g = PortGraph(2, (((1, 1), (1, 1)), ((0, -1),)))
+        g = PortGraph((((1, 1), (1, 1)), ((0, -1),)))
         with pytest.raises(AnalysisFault, match=r"^accepted proposal maps to non-edge \(0, 3\)$"):
             extract_matching(build_double_cover(g), (2, 1, 1, "accept"))
 

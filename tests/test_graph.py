@@ -94,20 +94,20 @@ class TestValidate:
 
     def test_reciprocity_violation(self):
         # 0's port 1 claims (1, 1) but 1's port 1 points at node 2
-        g = PortGraph(3, (((1, 1),), ((2, 1),), ((1, 1),)))
+        g = PortGraph((((1, 1),), ((2, 1),), ((1, 1),)))
         assert any("reciprocity violation at node 0 port 1" in v for v in validate(g))
 
     def test_port_range_gap(self):
         # node 1 references port 3 of node 0, which only has ports 1..2
-        g = PortGraph(3, (((1, 1), (2, 1)), ((0, 3),), ((0, 2),)))
+        g = PortGraph((((1, 1), (2, 1)), ((0, 3),), ((0, 2),)))
         assert any("reciprocal port 3 out of range" in v for v in validate(g))
 
     def test_self_loop_detected(self):
-        g = PortGraph(1, (((0, 1),),))
+        g = PortGraph((((0, 1),),))
         assert any("self-loop" in v for v in validate(g))
 
     def test_parallel_edge_detected(self):
-        g = PortGraph(2, (((1, 1), (1, 2)), ((0, 1), (0, 2))))
+        g = PortGraph((((1, 1), (1, 2)), ((0, 1), (0, 2))))
         assert any("parallel edge" in v for v in validate(g))
 
 
