@@ -8,7 +8,7 @@ one neighbour ever.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ProtocolFault
 
@@ -19,8 +19,7 @@ class Msg(enum.Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class NodeState:
+class NodeState(NamedTuple):
     """Algorithm state of one node.
 
     `a` is the port of the accepted outgoing proposal, `b` the port of the
@@ -70,7 +69,7 @@ def odd_step(
         outbox = (i, Msg.PROPOSE)
     if a == state.a and i == state.i and c == state.c:
         return state, outbox
-    return replace(state, a=a, i=i, c=c), outbox
+    return state._replace(a=a, i=i, c=c), outbox
 
 
 def even_step(
@@ -101,4 +100,4 @@ def even_step(
             outbox.append((port, Msg.REJECT))
     if b == state.b and c == state.c:
         return state, outbox
-    return replace(state, b=b, c=c), outbox
+    return state._replace(b=b, c=c), outbox

@@ -12,16 +12,15 @@ certifying the cover is within factor 3 of optimal without an exact solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import AnalysisFault
 from .graph import PortGraph
 from .simulator import CoverResult
 
-@dataclass(frozen=True)
-class PairGraph:
+class PairGraph(NamedTuple):
     """Pair subgraph of a run: all of V with the pair edges, decomposed into
     the node sequences of its paths and cycles. Consecutive nodes of a
     sequence are joined by a pair edge, and so are the ends of a cycle."""
@@ -29,8 +28,7 @@ class PairGraph:
     components: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Certified lower bound and the resulting approximation ratio."""
 
     lower_bound: int

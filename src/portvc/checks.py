@@ -18,7 +18,7 @@ check still yields a full report (`vc` prints it and exits 3); only a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analysis, double_cover, simulator
 from .errors import AnalysisFault
@@ -37,8 +37,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RunAnalysis:
+class RunAnalysis(NamedTuple):
     result: simulator.CoverResult
     transcript: simulator.Transcript
     pair_graph: analysis.PairGraph | None

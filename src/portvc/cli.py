@@ -69,12 +69,18 @@ def _write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _load_graph(path: str, fmt: str, policy: str, seed: int | None) -> graph.PortGraph:
+def _load_graph(path: str, fmt: str, policy: str | None, seed: int | None) -> graph.PortGraph:
+    """The graph in `path`. A `.pg` file fixes its ports, so it refuses a
+    numbering policy or seed; an `.el` file is numbered by `policy`, sorted
+    when unset."""
+    for flag, value in (("--numbering", policy), ("--seed", seed)):
+        if fmt == "pg" and value is not None:
+            raise _UsageError(f"{flag} applies only to .el inputs, not --format pg")
     text = _read_text(path, lambda line: ParseError("not UTF-8 text", line))
     if fmt == "pg":
         return graph.parse(text)
     el = graph.parse_edge_list(text)
-    return graph.from_edge_list(el, policy, seed)
+    return graph.from_edge_list(el, policy or "sorted", seed)
 
 
 def _report_for(g: graph.PortGraph, with_oracle: bool) -> tuple[dict, bool]:
@@ -141,7 +147,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    base = _load_graph(args.input, args.format, "sorted", None)
+    base = _load_graph(args.input, args.format, None, None)
     sizes = []
     max_ratio: Fraction | None = None
     failing_seed = None
@@ -193,8 +199,8 @@ def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None
     p.add_argument("--input", required=True, help="input graph file")
     p.add_argument("--format", choices=("pg", "el"), default="el")
     if numbering:
-        p.add_argument("--numbering", choices=graph.NUMBERING_POLICIES, default="sorted",
-                       help="port numbering policy for .el inputs")
+        p.add_argument("--numbering", choices=graph.NUMBERING_POLICIES,
+                       help="port numbering policy for .el inputs (default sorted)")
     p.add_argument("--seed", type=int, default=None)
 
 

@@ -10,15 +10,14 @@ the cover, and on a genuine run `mate` equals the run's `CoverResult.partner`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import AnalysisFault
 from .graph import PortGraph
 
 
-@dataclass(frozen=True)
-class DoubleCover:
+class DoubleCover(NamedTuple):
     """Double cover H of `graph`, a view of its port table, plus a matching.
 
     `mate[u] == v` when the black copy B(u) is matched to the white copy
@@ -69,7 +68,7 @@ def extract_matching(h: DoubleCover, flat: tuple[int | str, ...]) -> DoubleCover
                     raise AnalysisFault(
                         f"matching not maximal: edge ({v}, {u + n}) has no matched endpoint"
                     )
-    return replace(h, mate=tuple(mate))
+    return h._replace(mate=tuple(mate))
 
 
 def project_cover(h: DoubleCover) -> frozenset[int]:

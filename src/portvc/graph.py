@@ -14,9 +14,8 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphError, ParseError
 
@@ -32,8 +31,7 @@ MAX_EDGE_LIST_NODES = 1_000_000
 MAX_RANDOM_CANDIDATES = 2_000_000
 
 
-@dataclass(frozen=True)
-class EdgeList:
+class EdgeList(NamedTuple):
     """Plain undirected edge list, the input representation before ports."""
 
     node_count: int
@@ -71,8 +69,7 @@ def _refusal(node_count: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, st
     raise AssertionError("from_pairs refused no pair")
 
 
-@dataclass(frozen=True)
-class PortGraph:
+class PortGraph(NamedTuple):
     """Simple graph with 1-based port numbering at every node.
 
     `ports[v][j-1] == (u, k)` means port j of node v connects to port k of

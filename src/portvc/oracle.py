@@ -6,7 +6,7 @@ checks that hinge on the true optimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OracleRefusal
 from .graph import PortGraph
@@ -15,8 +15,7 @@ DEFAULT_CAP = 32
 NODE_LIMIT = 10_000_000  # search tree nodes before `solve` refuses
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum_size: int
     optimum_cover: frozenset[int]
     explored_nodes: int

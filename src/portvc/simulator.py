@@ -6,7 +6,7 @@ neighbour. Every send is recorded as four slots of one flat tuple, the
 transcript: step, sender, sender port and kind text. `run` returns it as
 `Transcript.flat`, and every other transcript function takes or gives only
 that form. `Transcript.entries` builds one `TranscriptEntry` per send from
-it, when something first reads it.
+it, again on each read.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
 reports it. A node's state and output are `a` and `b`, the ports of its
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, NoReturn
 
 from .algorithm import Msg, NodeState, even_step, odd_step
@@ -48,20 +46,18 @@ class TranscriptEntry(NamedTuple):
     kind: Msg
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Every send as (step, sender, sender port, kind text) in `flat`."""
 
     flat: tuple[int | str, ...]
 
-    @cached_property
+    @property
     def entries(self) -> tuple[TranscriptEntry, ...]:
         f = self.flat
         return tuple(map(TranscriptEntry, f[0::4], f[1::4], f[2::4], map(_MSG.__getitem__, f[3::4])))
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     cover: frozenset[int]
     partner: tuple[int, ...]  # per node: where its accepted proposal went, or -1
     accepted: tuple[int, ...]  # per node: the port of its accepted incoming proposal, or 0

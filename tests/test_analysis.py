@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -113,15 +112,15 @@ class TestBuildPairGraphs:
         g = cycle(5)
         res, _ = run(g)
         # node 0 gets a partner outside the graph, node 99
-        bogus = dataclasses.replace(res, partner=(99,) + res.partner[1:])
+        bogus = res._replace(partner=(99,) + res.partner[1:])
         with pytest.raises(AnalysisFault, match="not a subset"):
             build_pair_graphs(g, bogus)
 
     def test_cover_mismatch_is_a_fault(self):
         g = k2()
         res, _ = run(g)
-        bogus = dataclasses.replace(
-            res, cover=res.cover | {7} if g.node_count > 7 else frozenset({0}))
+        bogus = res._replace(
+            cover=res.cover | {7} if g.node_count > 7 else frozenset({0}))
         with pytest.raises(AnalysisFault, match="differ from the cover"):
             build_pair_graphs(g, bogus)
 

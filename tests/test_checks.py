@@ -4,7 +4,6 @@ Each case replaces one layer and pins the exact set of checks that fail,
 which checks keep passing, and which of `pair_graph` and `certificate` are
 missing.
 """
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,7 @@ def _raises(original):
 
 
 def _ratio_7_2(original):
-    return lambda pg, size: dataclasses.replace(original(pg, size), certified_ratio=Fraction(7, 2))
+    return lambda pg, size: original(pg, size)._replace(certified_ratio=Fraction(7, 2))
 
 
 def _one_more_node(original):
@@ -45,7 +44,7 @@ def _cover_invalid(original):
 def _late_last_step(original):
     def run(g):
         result, transcript = original(g)
-        return dataclasses.replace(result, last_active_step=2 * g.max_degree + 1), transcript
+        return result._replace(last_active_step=2 * g.max_degree + 1), transcript
     return run
 
 
@@ -129,7 +128,7 @@ def test_reversed_pair_fails_only_the_projection(monkeypatch):
         for x, y in zip(chain, chain[1:]):
             partner[y] = x
             accepted[x] = 1 + [u for u, _ in g.ports[x]].index(y)
-        return dataclasses.replace(result, partner=tuple(partner), accepted=tuple(accepted)), \
+        return result._replace(partner=tuple(partner), accepted=tuple(accepted)), \
             transcript
 
     monkeypatch.setattr(simulator, "run", reversed_chain)

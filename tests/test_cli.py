@@ -456,3 +456,35 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys, k2_el):
         assert run_cli(capsys, "run", "--input", k2_el, "--bogus")[0] == EXIT_USAGE
+
+
+class TestPgFixesItsPorts:
+    @pytest.fixture
+    def k2_pg(self, tmp_path):
+        p = tmp_path / "k2.pg"
+        p.write_text("2 1\n0 1 1\n1 1 0\n")
+        return str(p)
+
+    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
+    @pytest.mark.parametrize("flag", [("--numbering", "sorted"), ("--seed", "3")])
+    def test_numbering_and_seed_refused(self, capsys, k2_pg, command, flag):
+        code, out, err = run_cli(capsys, *command, "--input", k2_pg, "--format", "pg", *flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: {flag[0]} applies only to .el inputs, not --format pg\n"
+
+    def test_sweep_seed_still_picks_the_trials(self, capsys, k2_pg):
+        code, out, _ = run_cli(capsys, "sweep", "--input", k2_pg, "--format", "pg",
+                               "--trials", "2", "--seed", "5")
+        assert code == EXIT_OK
+        assert [json.loads(line).get("seed") for line in out.splitlines()] == [5, 6, None]
+
+    def test_unset_numbering_is_sorted_for_el(self, capsys, tmp_path):
+        p = tmp_path / "p3.el"
+        p.write_text("3\n0 2\n0 1\n")  # node 0 lists 2 before 1
+        traces = {}
+        for numbering in (None, "sorted", "input"):
+            trace = tmp_path / f"{numbering}.trace"
+            flags = () if numbering is None else ("--numbering", numbering)
+            assert run_cli(capsys, "run", "--input", str(p), "--trace", str(trace), *flags)[0] == 0
+            traces[numbering] = trace.read_text()
+        assert traces[None] == traces["sorted"] != traces["input"]
