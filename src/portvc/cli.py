@@ -72,10 +72,12 @@ def _write_text(path: str, text: str) -> None:
 def _load_graph(path: str, fmt: str, policy: str | None, seed: int | None) -> graph.PortGraph:
     """The graph in `path`. A `.pg` file fixes its ports, so it refuses a
     numbering policy or seed; an `.el` file is numbered by `policy`, sorted
-    when unset."""
+    when unset, and takes a seed only for random numbering."""
     for flag, value in (("--numbering", policy), ("--seed", seed)):
         if fmt == "pg" and value is not None:
             raise _UsageError(f"{flag} applies only to .el inputs, not --format pg")
+    if seed is not None and policy != "random":
+        raise _UsageError("--seed applies only to --numbering random")
     text = _read_text(path, lambda line: ParseError("not UTF-8 text", line))
     if fmt == "pg":
         return graph.parse(text)
@@ -190,7 +192,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.input, args.format, args.numbering, args.seed)
     text = _read_text(
         args.trace, lambda line: ProtocolFault(f"transcript line {line}: not UTF-8 text"))
-    violations = simulator.replay(g, simulator.parse_transcript(text))
+    violations = simulator.replay(g, text)
     print(json.dumps({"violations": violations}))
     return EXIT_OK if not violations else EXIT_INVARIANT
 

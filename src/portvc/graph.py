@@ -307,7 +307,10 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
 def parse(text: str) -> PortGraph:
     """Port-graph text format: header `n m`, then one line `v d(v) u_1 .. u_d`
     per node, listing v's neighbours in port order, port 1 first. Lines may
-    come in any node order; `#` starts a comment line. Costs O(n + m)."""
+    come in any node order; `#` starts a comment line. Costs O(n + m).
+    A node line whose tokens are all ids 0..n-1 in plain decimal is read
+    through one table lookup per token; any other line as `_int_tokens`
+    reads it, with identical results and errors."""
     lines = list(_lines(text))
     if not lines:
         raise ParseError("empty input, expected `n m` header")
@@ -324,8 +327,12 @@ def parse(text: str) -> PortGraph:
                          body[-1][0] if body else header_line)
     orders: list[list[int] | None] = [None] * n
     node_line = [0] * n
+    ids = {str(i): i for i in range(n)}  # sized by n only after n node lines were found
     for lineno, line in body:  # split one line at a time: no token outlives its line
-        nums = _int_tokens(line, lineno)
+        try:
+            nums, in_range = list(map(ids.__getitem__, line.split())), True
+        except KeyError:  # another spelling, or a value outside 0..n-1
+            nums, in_range = _int_tokens(line, lineno), False
         if len(nums) < 2:
             raise ParseError("node line must be `v d(v) neighbours...`", lineno)
         v, d, nbrs = nums[0], nums[1], nums[2:]
@@ -338,14 +345,14 @@ def parse(text: str) -> PortGraph:
         listed = set(nbrs)
         if len(listed) != len(nbrs):
             raise ParseError(f"node {v} lists a neighbour twice", lineno)
-        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n or v in listed):
+        if v in listed or not in_range and nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
             u = next(u for u in nbrs if not 0 <= u < n or u == v)
             if u == v:
                 raise ParseError(f"self-loop at node {v}", lineno)
             raise ParseError(f"neighbour {u} of node {v} out of range", lineno)
         orders[v] = nbrs
         node_line[v] = lineno
-    del lines, body  # freed before the port rows are built
+    del lines, body, ids  # freed before the port rows are built
     try:
         g = _from_neighbour_orders(orders)  # type: ignore[arg-type]
     except KeyError as exc:

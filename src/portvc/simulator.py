@@ -4,9 +4,9 @@ Time steps are 1-based; step 1 is odd. A message sent at step t through
 port j of node v is delivered at step t+1 on the reciprocal port of the
 neighbour. Every send is recorded as four slots of one flat tuple, the
 transcript: step, sender, sender port and kind text. `run` returns it as
-`Transcript.flat`, and every other transcript function takes or gives only
-that form. `Transcript.entries` builds one `TranscriptEntry` per send from
-it, again on each read.
+`Transcript.flat`; `format_transcript` and `parse_transcript` convert it to
+and from the text form, which `replay` takes. `Transcript.entries` builds
+one `TranscriptEntry` per send from it, again on each read.
 
 The protocol's horizon is max(1, 2*max_degree + 1) steps, and `rounds_run`
 reports it. A node's state and output are `a` and `b`, the ports of its
@@ -221,13 +221,16 @@ def parse_transcript(text: str) -> tuple[int | str, ...]:
     return tuple(flat)
 
 
-def replay(g: PortGraph, flat: tuple[int | str, ...]) -> list[str]:
-    """Re-derive the transcript of g and report where the flat form `flat`
+def replay(g: PortGraph, text: str) -> list[str]:
+    """Re-derive the transcript of g and report where the transcript `text`
     differs from it as a multiset of sends: claimed sends not derivable,
-    then derivable sends missing, each sorted."""
+    then derivable sends missing, each sorted. Text that is byte for byte
+    `format_transcript` of the fresh run is accepted unparsed; any other
+    text is parsed, with `parse_transcript`'s errors, and compared."""
     fresh = run(g)[1].flat
-    if flat == fresh:
+    if text == format_transcript(fresh):
         return []
+    flat = parse_transcript(text)
     claimed, derived = (Counter(zip(f[0::4], f[1::4], f[2::4], f[3::4])) for f in (flat, fresh))
     return ([f"claimed entry not derivable: {e}" for e in sorted((claimed - derived).elements())]
             + [f"missing entry: {e}" for e in sorted((derived - claimed).elements())])

@@ -12,8 +12,12 @@ step. It is the executable specification the frontier engine in
 text writer and reader that worked one `TranscriptEntry` per line; the flat
 `format_transcript` and `parse_transcript` are checked against them. The
 reader takes integers as the graph reference readers do, `INTEGER_TOKEN`.
+`reference_replay` parses every transcript before it compares, as `replay`
+did before it accepted `format_transcript`'s text unparsed.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from portvc.algorithm import Msg, NodeState, even_step, odd_step
 from portvc.errors import ProtocolFault
@@ -123,3 +127,13 @@ def reference_run(
     accepted = tuple(st.b or 0 for st in states)
     result = CoverResult(cover, partner, accepted, steps, last_active)
     return result, Transcript(flatten(entries)), history
+
+
+def reference_replay(g: PortGraph, text: str) -> list[str]:
+    """Parse `text`, then diff its sends against those of `reference_run` as
+    multisets: claimed sends not derivable, then missing ones, each sorted."""
+    claimed, derived = (
+        Counter((e.time_step, e.sender, e.sender_port, e.kind.value) for e in entries)
+        for entries in (reference_parse_transcript(text), reference_run(g)[1].entries))
+    return ([f"claimed entry not derivable: {e}" for e in sorted((claimed - derived).elements())]
+            + [f"missing entry: {e}" for e in sorted((derived - claimed).elements())])

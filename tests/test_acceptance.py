@@ -299,7 +299,7 @@ def test_criterion_08_golden_traces():
         assert format_transcript(tr1.flat) == golden
         assert format_transcript(tr2.flat) == golden  # byte-identical across runs
         assert res1.cover == res2.cover == frozenset(cover)
-        assert replay(g, tr1.flat) == []
+        assert replay(g, format_transcript(tr1.flat)) == []
     _passed(8, "K_2, star(3), consistent C_4 reproduce the hand-derived traces")
 
 

@@ -307,6 +307,16 @@ class TestVerify:
         assert code == EXIT_INVARIANT
         assert json.loads(out)["violations"] != []
 
+    def test_trace_vc_wrote_is_not_parsed(self, capsys, monkeypatch, star3_el, tmp_path):
+        trace = tmp_path / "t.trace"
+        run_cli(capsys, "run", "--input", star3_el, "--trace", str(trace))
+
+        def unparsed(text):
+            raise AssertionError("a trace in the form vc writes was parsed")
+        monkeypatch.setattr(simulator, "parse_transcript", unparsed)
+        code, out, _ = run_cli(capsys, "verify", "--input", star3_el, "--trace", str(trace))
+        assert (code, out) == (EXIT_OK, '{"violations": []}\n')
+
     def test_violation_text_and_order(self, capsys, k2_el, tmp_path):
         # claimed entries not derivable, sorted, then missing entries, sorted
         trace = tmp_path / "t.trace"
@@ -471,6 +481,13 @@ class TestPgFixesItsPorts:
         code, out, err = run_cli(capsys, *command, "--input", k2_pg, "--format", "pg", *flag)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: {flag[0]} applies only to .el inputs, not --format pg\n"
+
+    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
+    @pytest.mark.parametrize("numbering", [(), ("--numbering", "sorted"), ("--numbering", "input")])
+    def test_seed_without_random_numbering_refused(self, capsys, k2_el, command, numbering):
+        code, out, err = run_cli(capsys, *command, "--input", k2_el, *numbering, "--seed", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --seed applies only to --numbering random\n"
 
     def test_sweep_seed_still_picks_the_trials(self, capsys, k2_pg):
         code, out, _ = run_cli(capsys, "sweep", "--input", k2_pg, "--format", "pg",

@@ -2,7 +2,10 @@
 
 `parse` must return a graph equal to the one `reference_parse` returns, or
 raise a `ParseError` with the same message and line, on valid `.pg` texts,
-on perturbed ones and on arbitrary text. Both parsers must never raise
+on perturbed ones and on arbitrary text. The perturbations include tokens
+that `int` reads but `parse`'s table of ids 0..n-1 does not (`+3`, `03`,
+`-0`, a degree of n or more), which reach its line-by-line fallback.
+Both parsers must never raise
 anything but `ParseError`. `parse_edge_list`, whose bulk pass reads the
 form `serialize_edge_list` writes, must agree the same way with the
 line-by-line `reference_parse_edge_list`: on every corpus graph, on
@@ -87,7 +90,7 @@ def test_reciprocal_ports_match_reference(el, seed):
 PERTURBATIONS = (
     "drop-neighbour", "add-neighbour", "drop-neighbour", "add-neighbour", "shuffle",
     "out-of-range", "wrong-m", "wrong-n", "drop-line", "duplicate-line", "swap-lines",
-    "garbage-token", "comment-line", "blank-line",
+    "garbage-token", "comment-line", "blank-line", "respell-token",
 )
 
 
@@ -138,6 +141,13 @@ def perturbed_pg_texts(draw):
         elif op == "garbage-token":
             row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(
                 st.sampled_from(["x", "1_0", "٢"]))
+        elif op == "respell-token":  # `int` reads it; the table of ids 0..n-1 does not
+            j = draw(st.integers(min_value=0, max_value=len(row) - 1))
+            spelling = draw(st.sampled_from(["+", "0", "-0", "degree"]))
+            if spelling == "degree":
+                row[1] = str(n + draw(st.integers(min_value=0, max_value=2)))
+            else:
+                row[j] = "-0" if spelling == "-0" else spelling + row[j]
         if op in ("drop-neighbour", "add-neighbour") and draw(st.integers(0, 3)):
             row[1] = str(len(row) - 2)  # mostly keep the declared degree consistent
     lines = [" ".join(tokens) for tokens in [header] + rows]

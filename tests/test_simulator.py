@@ -256,14 +256,14 @@ class TestReplay:
     def test_genuine_transcript_is_clean(self):
         g = permute_ports(cycle(6), 1)
         _, tr = run(g)
-        assert replay(g, tr.flat) == []
+        assert replay(g, format_transcript(tr.flat)) == []
 
     def test_reordered_complete_transcript_is_clean(self):
         g = permute_ports(cycle(6), 1)
         _, tr = run(g)
         shuffled = tuple(reversed(tr.entries))
         assert shuffled != tr.entries
-        assert replay(g, flatten(shuffled)) == []
+        assert replay(g, format_transcript(flatten(shuffled))) == []
 
     def test_flipped_entry_detected(self):
         g = k2()
@@ -273,7 +273,7 @@ class TestReplay:
                             Msg.REJECT if e.kind is Msg.ACCEPT and e.sender == 0 else e.kind)
             for e in tr.entries
         )
-        violations = replay(g, flatten(corrupted))
+        violations = replay(g, format_transcript(flatten(corrupted)))
         assert any("not derivable" in v for v in violations)
         assert any("missing" in v for v in violations)
 
@@ -282,4 +282,4 @@ class TestReplay:
         _, tr = run(g)
         g_permuted = permute_ports(g, 6)
         assert run(g_permuted)[1].entries != tr.entries  # seed chosen to differ
-        assert replay(g_permuted, tr.flat) != []
+        assert replay(g_permuted, format_transcript(tr.flat)) != []

@@ -9,6 +9,10 @@ unknown kinds, comment and blank lines, CRLF line ends) both readers must
 give the same entries or raise a `ProtocolFault` with the same message.
 Texts with a single perturbation each sit just outside the form
 `format_transcript` writes, which `parse_transcript` splits in one pass.
+On the same texts `replay`, which parses only text that differs from
+`format_transcript` of a fresh run, must give `reference_replay`'s
+violations or its `ProtocolFault`; a genuine trace with CRLF line ends, a
+comment line or its lines reversed still replays clean.
 """
 from __future__ import annotations
 
@@ -16,16 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portvc.errors import ProtocolFault
-from portvc.simulator import format_transcript, parse_transcript, run
+from portvc.simulator import format_transcript, parse_transcript, replay, run
 
 from conftest import g_from_pairs, load_corpus
-from reference_engine import flatten, reference_format_transcript, reference_parse_transcript
+from reference_engine import (
+    flatten,
+    reference_format_transcript,
+    reference_parse_transcript,
+    reference_replay,
+)
 from test_properties import port_graphs
 
 
-def _outcome(parser, text: str):
+def _outcome(parser, *args):
     try:
-        return parser(text)
+        return parser(*args)
     except ProtocolFault as exc:
         return str(exc)
 
@@ -36,12 +45,17 @@ def _assert_same_parse(text: str) -> None:
     assert got == (want if isinstance(want, str) else flatten(want))
 
 
+def _assert_same_replay(g, text: str) -> None:
+    assert _outcome(replay, g, text) == _outcome(reference_replay, g, text)
+
+
 def _assert_same_text(g) -> None:
     _, tr = run(g)
     text = format_transcript(tr.flat)
     assert text == reference_format_transcript(tr.entries)
     assert parse_transcript(text) == tr.flat
     _assert_same_parse(text)
+    assert replay(g, text) == reference_replay(g, text) == []
 
 
 def test_corpus_matches_reference():
@@ -55,6 +69,10 @@ def test_corpus_matches_reference():
 @given(port_graphs())
 def test_random_graphs_match_reference(g):
     _assert_same_text(g)
+    lines = format_transcript(run(g)[1].flat).splitlines(keepends=True)
+    for text in ("".join(lines).replace("\n", "\r\n"), "# a comment\n" + "".join(lines),
+                 "".join(reversed(lines))):
+        assert replay(g, text) == reference_replay(g, text) == []
 
 
 BAD_TOKENS = ("x", "1.5", "", "+3", "-1", "0x1", "1_0", "٣", "Propose", "offer", "accept,", "#")
@@ -66,7 +84,7 @@ PERTURBATIONS = (
 
 @st.composite
 def perturbed_transcript_texts(draw):
-    """The text of a genuine run with one to four perturbations applied."""
+    """A graph and the text of its genuine run with one to four perturbations applied."""
     g = draw(port_graphs(max_n=7))
     lines = format_transcript(run(g)[1].flat).splitlines()
     crlf = False
@@ -101,13 +119,15 @@ def perturbed_transcript_texts(draw):
             continue
         lines[i] = " ".join(tokens)
     end = "\r\n" if crlf else "\n"
-    return end.join(lines) + (end if draw(st.booleans()) else "")
+    return g, end.join(lines) + (end if draw(st.booleans()) else "")
 
 
 @given(perturbed_transcript_texts())
 @settings(max_examples=1000)
-def test_perturbed_texts_parse_like_reference(text):
+def test_perturbed_texts_parse_like_reference(case):
+    g, text = case
     _assert_same_parse(text)
+    _assert_same_replay(g, text)
 
 
 SINGLE_PERTURBATIONS = (
@@ -118,14 +138,14 @@ SINGLE_PERTURBATIONS = (
 
 @st.composite
 def single_perturbation_transcript_texts(draw):
-    """The text of a genuine run with one perturbation applied."""
+    """A graph and the text of its genuine run with one perturbation applied."""
     g = draw(port_graphs(max_n=7))
     lines = format_transcript(run(g)[1].flat).splitlines()
     op = draw(st.sampled_from(SINGLE_PERTURBATIONS))
     if op == "crlf":
-        return "".join(line + "\r\n" for line in lines)
+        return g, "".join(line + "\r\n" for line in lines)
     if op == "no-final-newline":
-        return "\n".join(lines)
+        return g, "\n".join(lines)
     i = draw(st.integers(min_value=0, max_value=len(lines)))
     if op == "comment-line":
         lines.insert(i, draw(st.sampled_from(["#", "# 1 0 1 propose", "#1 0 1 offer"])))
@@ -148,13 +168,15 @@ def single_perturbation_transcript_texts(draw):
         elif op == "plus-sign":
             tokens[min(j, 2)] = "+" + tokens[min(j, 2)]
         lines[i] = " ".join(tokens)
-    return "".join(line + "\n" for line in lines)
+    return g, "".join(line + "\n" for line in lines)
 
 
 @given(single_perturbation_transcript_texts())
 @settings(max_examples=1000)
-def test_single_perturbations_parse_like_reference(text):
+def test_single_perturbations_parse_like_reference(case):
+    g, text = case
     _assert_same_parse(text)
+    _assert_same_replay(g, text)
 
 
 TRANSCRIPT_LIKE = st.lists(
