@@ -25,7 +25,6 @@ else the lowest node whose delivery the transitions refuse.
 """
 from __future__ import annotations
 
-import re
 from collections import Counter, defaultdict
 from typing import NamedTuple, NoReturn
 
@@ -183,30 +182,11 @@ def format_transcript(flat: tuple[int | str, ...]) -> str:
     return ("%d %d %d %s\n" * (len(flat) // 4)) % flat
 
 
-# `format_transcript`'s form, one `t v port kind` line per send, checked as
-# in `graph.parse_edge_list`: the first line, then a search for the first
-# newline not followed by another such line
-_TRANSCRIPT_LINE = rf"\d+ \d+ \d+ (?:{'|'.join(_KIND_TEXT)})\n"
-_FIRST_TRANSCRIPT_LINE = re.compile(rf"{_TRANSCRIPT_LINE}|\Z", re.ASCII)
-_OFF_FORM_TRANSCRIPT_LINE = re.compile(rf"\n(?!{_TRANSCRIPT_LINE}|\Z)", re.ASCII)
-
-
 def parse_transcript(text: str) -> tuple[int | str, ...]:
-    """Inverse of `format_transcript`, in the flat form. The first line that
-    is not `t v port kind`, with integers and a known kind, is refused.
-    Text in `format_transcript`'s form is split in one pass; any other text
-    is read line by line, with identical results and errors."""
-    if _FIRST_TRANSCRIPT_LINE.match(text) and not _OFF_FORM_TRANSCRIPT_LINE.search(text):
-        flat: list[int | str] = text.split()
-        try:
-            for slot in (0, 1, 2):
-                flat[slot::4] = map(int, flat[slot::4])
-        except ValueError:  # a number past `int`'s digit limit: named below
-            pass
-        else:
-            flat[3::4] = map(_KIND_TEXT.__getitem__, flat[3::4])
-            return tuple(flat)
-    flat = []
+    """Inverse of `format_transcript`, in the flat form, read line by line.
+    The first line that is not `t v port kind`, with integers and a known
+    kind, is refused."""
+    flat: list[int | str] = []
     for lineno, line in _lines(text):
         tokens = line.split()
         if len(tokens) != 4:

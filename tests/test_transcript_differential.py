@@ -8,11 +8,11 @@ byte-identical. On perturbed texts (wrong token counts, non-integers,
 unknown kinds, comment and blank lines, CRLF line ends) both readers must
 give the same entries or raise a `ProtocolFault` with the same message.
 Texts with a single perturbation each sit just outside the form
-`format_transcript` writes, which `parse_transcript` splits in one pass.
-On the same texts `replay`, which parses only text that differs from
-`format_transcript` of a fresh run, must give `reference_replay`'s
-violations or its `ProtocolFault`; a genuine trace with CRLF line ends, a
-comment line or its lines reversed still replays clean.
+`format_transcript` writes. On the same texts `replay`, which parses only
+text that differs from `format_transcript` of a fresh run, must give
+`reference_replay`'s violations or its `ProtocolFault`; a genuine trace
+with CRLF line ends, a comment line or its lines reversed still replays
+clean.
 """
 from __future__ import annotations
 
