@@ -32,8 +32,30 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # on the top-level parser: each command's parser
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise _UsageError(message)
+
+
+def _invalid_choice(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _add_choice(p: argparse.ArgumentParser, name: str, choices: tuple[str, ...],
+                **kwargs) -> None:
+    """Add an argument that takes one of `choices`.
+
+    Its `type` refuses any other value before argparse's own check, in the
+    wording Python 3.10 to 3.13.0 print: later patch releases drop the
+    quotes around the choices. `choices` still gives the usage line its
+    `{...}`.
+    """
+    def one_of(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(_invalid_choice(value, choices))
+        return value
+    p.add_argument(name, choices=choices, type=one_of, **kwargs)
 
 
 def _ratio_str(r: Fraction | None) -> str | None:
@@ -122,6 +144,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.seed is not None and args.kind != "random":
+        raise _UsageError("--seed applies only to the random generator")
     el = graph.generate(args.kind, *args.params, seed=args.seed)
     text = graph.serialize_edge_list(el)
     if args.output:
@@ -199,10 +223,10 @@ def cmd_verify(args) -> int:
 
 def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None:
     p.add_argument("--input", required=True, help="input graph file")
-    p.add_argument("--format", choices=("pg", "el"), default="el")
+    _add_choice(p, "--format", ("pg", "el"), default="el")
     if numbering:
-        p.add_argument("--numbering", choices=graph.NUMBERING_POLICIES,
-                       help="port numbering policy for .el inputs (default sorted)")
+        _add_choice(p, "--numbering", graph.NUMBERING_POLICIES,
+                    help="port numbering policy for .el inputs (default sorted)")
     p.add_argument("--seed", type=int, default=None)
 
 
@@ -213,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     argparse parsers are reference cycles, so building one per command
     would leave garbage for the cyclic collector. The parser is never
     mutated after it is built: `parse_args` fills a fresh namespace.
+    `main` parses a command's arguments with its parser in `commands`.
     """
     parser = _Parser(prog="vc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a graph as an .el file")
-    p_gen.add_argument("kind", choices=tuple(graph.GENERATORS))
+    _add_choice(p_gen, "kind", tuple(graph.GENERATORS))
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--output", "-o", help="output path (default stdout)")
@@ -246,12 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trace", required=True)
     p_verify.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed in one pass, by the parser of the command it names.
+
+    Through the top-level parser, every token would be classified once to
+    find the command and again by the command's parser. An argv that names
+    no command (empty, or led by an option such as `-h` or `--`) still goes
+    through the top-level parser; an unknown word is refused here. The
+    namespace lacks only `command`, which no command reads.
+    """
+    parser = build_parser()
+    if not argv or argv[0].startswith("-"):
+        return parser.parse_args(argv)
+    command = parser.commands.get(argv[0])
+    if command is None:
+        raise _UsageError(f"argument command: {_invalid_choice(argv[0], parser.commands)}")
+    return command.parse_args(argv[1:])
+
+
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

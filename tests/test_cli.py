@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from portvc import analysis, graph, simulator
+from portvc import analysis, cli, graph, simulator
 from portvc.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -177,6 +177,12 @@ class TestGen:
         ):
             code, out, err = run_cli(capsys, "gen", *argv)
             assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
+
+    @pytest.mark.parametrize("kind", ["cycle", "path", "clique", "star"])
+    def test_seed_refused_for_kinds_that_draw_nothing(self, capsys, kind):
+        code, out, err = run_cli(capsys, "gen", kind, "4", "--seed", "9")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "usage error: --seed applies only to the random generator\n")
 
     def test_random_too_many_nodes_refused(self, capsys):
         code, out, err = run_cli(capsys, "gen", "random", "1000000000", "3", "0.0", "--seed", "1")
@@ -394,24 +400,37 @@ def _quiet_main(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+# (earlier, later) argvs; "{star}", "{trace}" and "{out}" name files
+REUSE_PAIRS = [
+    (("sweep", "--input", "{star}", "--trials", "3", "--seed", "4"),
+     ("sweep", "--input", "{star}", "--trials", "3")),
+    (("sweep", "--input", "{star}", "--trials", "7"),
+     ("sweep", "--input", "{star}")),
+    (("run", "--input", "{star}", "--numbering", "random", "--seed", "5"),
+     ("run", "--input", "{star}")),
+    (("run", "--input", "{star}", "--with-oracle", "--trace", "{trace}"),
+     ("run", "--input", "{star}")),
+    (("gen", "random", "12", "3", "0.4", "--seed", "7"), ("gen", "cycle", "5")),
+    (("gen", "star", "3", "-o", "{out}"), ("gen", "star", "3")),
+    (("oracle", "--input", "{star}", "--cap", "1"), ("oracle", "--input", "{star}")),
+    (("verify", "--input", "{star}", "--trace", "{trace}"), ("run", "--input", "{star}")),
+]
+
+# one passing argv per command; run in this order, each reads what the ones before it wrote
+PASSING_COMMANDS = [
+    ("gen", "random", "14", "3", "0.4", "--seed", "2", "-o", "{el}"),
+    ("run", "--input", "{el}", "--trace", "{trace}", "--with-oracle"),
+    ("verify", "--input", "{el}", "--trace", "{trace}"),
+    ("sweep", "--input", "{el}", "--trials", "3"),
+    ("oracle", "--input", "{el}"),
+]
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("earlier, later", [
-        (("sweep", "--input", "{star}", "--trials", "3", "--seed", "4"),
-         ("sweep", "--input", "{star}", "--trials", "3")),
-        (("sweep", "--input", "{star}", "--trials", "7"),
-         ("sweep", "--input", "{star}")),
-        (("run", "--input", "{star}", "--numbering", "random", "--seed", "5"),
-         ("run", "--input", "{star}")),
-        (("run", "--input", "{star}", "--with-oracle", "--trace", "{trace}"),
-         ("run", "--input", "{star}")),
-        (("gen", "random", "12", "3", "0.4", "--seed", "7"), ("gen", "cycle", "5")),
-        (("gen", "star", "3", "-o", "{out}"), ("gen", "star", "3")),
-        (("oracle", "--input", "{star}", "--cap", "1"), ("oracle", "--input", "{star}")),
-        (("verify", "--input", "{star}", "--trace", "{trace}"), ("run", "--input", "{star}")),
-    ])
+    @pytest.mark.parametrize("earlier, later", REUSE_PAIRS)
     def test_later_call_ignores_earlier_flags(self, star3_el, tmp_path, earlier, later):
         paths = {"star": star3_el, "trace": str(tmp_path / "t.trace"),
                  "out": str(tmp_path / "o.el")}
@@ -433,13 +452,7 @@ class TestParserReuse:
 class TestNoCyclicGarbage:
     """A passing command frees all it allocates by reference counting."""
 
-    @pytest.mark.parametrize("argv", [
-        ("gen", "random", "14", "3", "0.4", "--seed", "2", "-o", "{el}"),
-        ("run", "--input", "{el}", "--trace", "{trace}", "--with-oracle"),
-        ("verify", "--input", "{el}", "--trace", "{trace}"),
-        ("sweep", "--input", "{el}", "--trials", "3"),
-        ("oracle", "--input", "{el}"),
-    ])
+    @pytest.mark.parametrize("argv", PASSING_COMMANDS)
     def test_command_leaves_no_cycles(self, tmp_path, argv):
         paths = {"el": str(tmp_path / "g.el"), "trace": str(tmp_path / "g.trace")}
         argv = [a.format(**paths) for a in argv]
@@ -466,6 +479,88 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys, k2_el):
         assert run_cli(capsys, "run", "--input", k2_el, "--bogus")[0] == EXIT_USAGE
+
+    # the quoted wording on every supported Python, not only up to 3.13.0
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--input", "unread", "--format", "xx"),
+         "argument --format: invalid choice: 'xx' (choose from 'pg', 'el')"),
+        (("oracle", "--input", "unread", "--numbering", "xx"),
+         "argument --numbering: invalid choice: 'xx' (choose from 'sorted', 'input', 'random')"),
+        (("bogus",),
+         "argument command: invalid choice: 'bogus' "
+         "(choose from 'run', 'gen', 'oracle', 'sweep', 'verify')"),
+    ])
+    def test_invalid_choice_text(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+    def test_no_argument_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["vc", "gen", "path", "3"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == "3\n0 1\n1 2\n"
+
+
+def _parsed(parse, argv):
+    """What `parse(argv)` gives: the namespace without `command`, the usage
+    error's text, or the exit code and stdout of `-h`."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(list(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
+def _refuse_to_parse(*args, **kwargs):
+    raise AssertionError("a parser that main must not use parsed")
+
+
+class TestDispatch:
+    """`main` parses a command's arguments with that command's parser alone."""
+
+    @pytest.mark.parametrize("argv", [
+        *(argv for pair in REUSE_PAIRS for argv in pair),
+        *PASSING_COMMANDS,
+        ("run", "--input={star}", "--numbering=random", "--seed=5"),
+        ("gen", "star", "3", "-o{out}"),
+        ("run", "--inp", "{star}"),
+        ("sweep", "--input", "a.el", "--trials", "2", "--input", "b.el", "--trials", "3"),
+        ("gen", "random", "12", "3", "0.4", "--seed", "-7"),
+        ("run", "--input", "{star}", "--numbering", "random", "--seed", "-5"),
+        ("--", "run", "--input", "{star}"),
+        ("gen", "--", "cycle", "4"),
+        ("gen", "cycle", "--", "4"),
+        ("gen", "cycle", "4", "--"),
+        ("run", "--", "--input", "{star}"),
+        ("run", "--input", "{star}", "--"),
+        ("run", "--input", "--", "{star}"),
+        *((command, "-h") for command in ("run", "gen", "oracle", "sweep", "verify")),
+        ("-h",),
+        (),
+        ("--bogus",),
+        ("run", "--input", "{star}", "--bogus"),
+        ("run", "--input", "{star}", "stray"),
+        ("oracle",),
+        ("gen", "cycle", "4", "--seed", "x"),
+    ])
+    def test_same_parse_as_the_top_level_parser(self, argv):
+        assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
+
+    def test_commands_run_without_the_top_level_parser(self, monkeypatch, tmp_path):
+        paths = {"el": str(tmp_path / "g.el"), "trace": str(tmp_path / "g.trace")}
+        # on the instance's dict, so that undoing it leaves no bound method behind
+        monkeypatch.setitem(vars(build_parser()), "parse_known_args", _refuse_to_parse)
+        for argv in PASSING_COMMANDS:
+            assert _quiet_main([a.format(**paths) for a in argv])[0] == EXIT_OK, argv
+
+    def test_cache_clear_resets_the_command_parsers(self, monkeypatch, star3_el):
+        stale = build_parser().commands["run"]
+        monkeypatch.setitem(vars(stale), "parse_known_args", _refuse_to_parse)
+        build_parser.cache_clear()
+        assert build_parser().commands["run"] is not stale
+        assert _quiet_main(["run", "--input", star3_el])[0] == EXIT_OK
 
 
 class TestPgFixesItsPorts:
