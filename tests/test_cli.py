@@ -174,15 +174,12 @@ class TestGen:
             (("path", "1000001"), "n 1000001 exceeds the limit of 1000000"),
             (("cycle", "1000001"), "n 1000001 exceeds the limit of 1000000"),
             (("star", "1000000"), "n 1000001 exceeds the limit of 1000000"),
+            # only random draws anything, so a seed elsewhere would be ignored
+            *(((kind, "4", "--seed", "9"), "--seed applies only to the random generator")
+              for kind in ("cycle", "path", "clique", "star")),
         ):
             code, out, err = run_cli(capsys, "gen", *argv)
             assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
-
-    @pytest.mark.parametrize("kind", ["cycle", "path", "clique", "star"])
-    def test_seed_refused_for_kinds_that_draw_nothing(self, capsys, kind):
-        code, out, err = run_cli(capsys, "gen", kind, "4", "--seed", "9")
-        assert (code, out, err) == (
-            EXIT_USAGE, "", "usage error: --seed applies only to the random generator\n")
 
     def test_random_too_many_nodes_refused(self, capsys):
         code, out, err = run_cli(capsys, "gen", "random", "1000000000", "3", "0.0", "--seed", "1")
