@@ -158,7 +158,7 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     if args.cap < 0:
         raise _UsageError("--cap must be >= 0")
-    g = _load_graph(args.input, args.format, args.numbering, args.seed)
+    g = _load_graph(args.input, args.format, None, None)
     res = oracle.solve(g, cap=args.cap)
     print(json.dumps({
         "n": g.node_count,
@@ -227,7 +227,7 @@ def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None
     if numbering:
         _add_choice(p, "--numbering", graph.NUMBERING_POLICIES,
                     help="port numbering policy for .el inputs (default sorted)")
-    p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
 
 
 @functools.cache
@@ -251,20 +251,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a graph as an .el file")
     _add_choice(p_gen, "kind", tuple(graph.GENERATORS))
-    p_gen.add_argument("params", nargs="*")
+    p_gen.add_argument("params", nargs="*", default=())
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--output", "-o", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_oracle = sub.add_parser("oracle", help="exact minimum vertex cover")
-    _add_input_flags(p_oracle)
+    _add_input_flags(p_oracle, numbering=False)  # the optimum reads no port numbers
     p_oracle.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="rerun under many port numberings")
     _add_input_flags(p_sweep, numbering=False)  # .el inputs are read with sorted numbering
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.set_defaults(func=cmd_sweep, seed=0)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="replay a transcript against a graph")
     _add_input_flags(p_verify)
@@ -279,13 +280,15 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """`argv` parsed in one pass, by the parser of the command it names.
 
     Through the top-level parser, every token would be classified once to
-    find the command and again by the command's parser. An argv that names
-    no command (empty, or led by an option such as `-h` or `--`) still goes
-    through the top-level parser; an unknown word is refused here. The
-    namespace lacks only `command`, which no command reads.
+    find the command and again by the command's parser. Only an empty argv
+    and one led by `-h` or `--help` go through the top-level parser; any
+    other first word that names no command, `--` and other options
+    included, is refused here, because argparse's handling of those
+    differs between Python patch releases. The namespace lacks only
+    `command`, which no command reads.
     """
     parser = build_parser()
-    if not argv or argv[0].startswith("-"):
+    if not argv or argv[0] in ("-h", "--help"):
         return parser.parse_args(argv)
     command = parser.commands.get(argv[0])
     if command is None:

@@ -11,7 +11,6 @@ pass; any other valid text is read line by line, with identical results.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from itertools import combinations, count
@@ -39,34 +38,30 @@ class EdgeList(NamedTuple):
 
     @classmethod
     def from_pairs(cls, node_count: int, pairs: Iterable[tuple[int, int]]) -> "EdgeList":
-        """Normalize each pair to (low, high) and check the list as a whole:
-        node ids in 0..n-1, no self-loop, no edge twice. A refusal names the
-        first pair refused, as `_refusal` finds it."""
-        pairs = list(pairs)
-        edges = tuple([p if p[0] < p[1] else (p[1], p[0]) for p in pairs])
-        low, high = zip(*edges) if edges else ((), ())
-        if (node_count < 0 or edges and (min(low) < 0 or max(high) >= node_count)
-                or any(map(operator.eq, low, high)) or len(set(edges)) < len(edges)):
-            raise GraphError(_refusal(node_count, pairs)[1])
-        return cls(node_count, edges)
+        """Normalize each pair to (low, high) and check it, in one scan: node
+        ids in 0..n-1, no self-loop, no edge twice. The first pair refused
+        raises a `GraphError` whose `index` is that pair's position in
+        `pairs`, or -1 when the node count is refused."""
+        if node_count < 0:
+            raise _refused(f"node_count must be non-negative, got {node_count}", -1)
+        edges: dict[tuple[int, int], None] = {}  # a dict keeps the first-seen order
+        for p in pairs:
+            u, v = p
+            e = p if u < v else (v, u)
+            if not (0 <= e[0] and e[1] < node_count):
+                raise _refused(f"node id out of range in edge {{{u}, {v}}}", len(edges))
+            if u == v:
+                raise _refused(f"self-loop at node {u}", len(edges))
+            if e in edges:
+                raise _refused(f"duplicate edge {{{e[0]}, {e[1]}}}", len(edges))
+            edges[e] = None  # each pair before the refused one added one edge
+        return cls(node_count, tuple(edges))
 
 
-def _refusal(node_count: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, str]:
-    """(index, reason) of the first pair `EdgeList.from_pairs` refuses, with
-    index -1 when it refuses the node count."""
-    if node_count < 0:
-        return -1, f"node_count must be non-negative, got {node_count}"
-    seen: set[tuple[int, int]] = set()
-    for index, (u, v) in enumerate(pairs):
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            return index, f"node id out of range in edge {{{u}, {v}}}"
-        if u == v:
-            return index, f"self-loop at node {u}"
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            return index, f"duplicate edge {{{e[0]}, {e[1]}}}"
-        seen.add(e)
-    raise AssertionError("from_pairs refused no pair")
+def _refused(reason: str, index: int) -> GraphError:
+    exc = GraphError(reason)
+    exc.index = index  # type: ignore[attr-defined]
+    return exc
 
 
 class PortGraph(NamedTuple):
@@ -421,4 +416,4 @@ def _edge_list(n: int, pairs: list[tuple[int, int]], lines: Sequence[int]) -> Ed
     try:
         return EdgeList.from_pairs(n, pairs)
     except GraphError as exc:
-        raise ParseError(str(exc), lines[_refusal(n, pairs)[0] + 1]) from exc
+        raise ParseError(str(exc), lines[exc.index + 1]) from exc

@@ -126,9 +126,13 @@ def fabricated_results(draw):
     return g, CoverResult(frozenset(cover), tuple(partner), (0,) * n, 1, 0)
 
 
-def _fabricated(g: PortGraph, partner: tuple[int, ...]) -> tuple[PortGraph, CoverResult]:
-    """`g` with the given partners, and the non-isolated nodes as the cover."""
-    cover = frozenset(v for e in pair_edges(CoverResult(frozenset(), partner, (), 1, 0)) for v in e)
+def _fabricated(g: PortGraph, partner: tuple[int, ...],
+                cover: frozenset[int] | None = None) -> tuple[PortGraph, CoverResult]:
+    """`g` with the given partners, and `cover` as the cover: by default the
+    non-isolated nodes."""
+    if cover is None:
+        cover = frozenset(v for e in pair_edges(CoverResult(frozenset(), partner, (), 1, 0))
+                          for v in e)
     return g, CoverResult(cover, partner, (0,) * len(partner), 1, 0)
 
 
@@ -141,6 +145,9 @@ def _fabricated(g: PortGraph, partner: tuple[int, ...]) -> tuple[PortGraph, Cove
 @example(_fabricated(k2(), (2, -1)))  # partner n
 @example(_fabricated(path(3), (2, -1, -1)))  # a non-neighbour
 @example(_fabricated(k2(), (0, -1)))  # the node itself
+# covers of the right size that are not the non-isolated nodes {0, 1}
+@example(_fabricated(path(3), (1, -1, -1), frozenset({0, 2})))  # an isolated node
+@example(_fabricated(path(3), (1, -1, -1), frozenset({0, 5})))  # a node out of range
 @settings(max_examples=1000)
 def test_fabricated_results_match_reference(case):
     _assert_same_pair_graph(*case)

@@ -232,6 +232,12 @@ class TestOracle:
             code, out, err = run_cli(capsys, "oracle", "--input", path, "--cap", "-1")
             assert (code, out, err) == (EXIT_USAGE, "", "usage error: --cap must be >= 0\n")
 
+    # the optimum reads no port numbers, so an .el input takes no numbering flags
+    @pytest.mark.parametrize("flag", [("--numbering", "sorted"), ("--seed", "3")])
+    def test_numbering_flags_refused(self, capsys, k2_el, flag):
+        assert run_cli(capsys, "oracle", "--input", k2_el, *flag) == (
+            EXIT_USAGE, "", f"usage error: unrecognized arguments: {' '.join(flag)}\n")
+
     def test_search_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
         p = str(tmp_path / "p.el")
         run_cli(capsys, "gen", "path", "3000", "-o", p)
@@ -470,6 +476,11 @@ class TestNoCyclicGarbage:
         assert garbage == 0
 
 
+def _invalid_command(word):
+    return (f"argument command: invalid choice: {word!r} "
+            "(choose from 'run', 'gen', 'oracle', 'sweep', 'verify')")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys, )[0] == EXIT_USAGE
@@ -481,13 +492,28 @@ class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (("run", "--input", "unread", "--format", "xx"),
          "argument --format: invalid choice: 'xx' (choose from 'pg', 'el')"),
-        (("oracle", "--input", "unread", "--numbering", "xx"),
+        (("verify", "--input", "unread", "--trace", "unread", "--numbering", "xx"),
          "argument --numbering: invalid choice: 'xx' (choose from 'sorted', 'input', 'random')"),
         (("bogus",),
          "argument command: invalid choice: 'bogus' "
          "(choose from 'run', 'gen', 'oracle', 'sweep', 'verify')"),
     ])
     def test_invalid_choice_text(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+    # only an empty argv and `-h`/`--help` reach the top-level parser, so these
+    # read the same on every Python; argparse's own handling of a leading `--`
+    # or unknown option differs between patch releases
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("--",), _invalid_command("--")),
+        (("--", "run", "--input", "unread"), _invalid_command("--")),
+        (("--", "bogus"), _invalid_command("--")),
+        (("--bogus",), _invalid_command("--bogus")),
+        (("-x", "run", "--input", "unread"), _invalid_command("-x")),
+        (("gen",), "the following arguments are required: kind"),
+    ])
+    def test_one_grammar(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
 
     def test_no_argument_reads_sys_argv(self, capsys, monkeypatch):
@@ -526,7 +552,7 @@ class TestDispatch:
         ("sweep", "--input", "a.el", "--trials", "2", "--input", "b.el", "--trials", "3"),
         ("gen", "random", "12", "3", "0.4", "--seed", "-7"),
         ("run", "--input", "{star}", "--numbering", "random", "--seed", "-5"),
-        ("--", "run", "--input", "{star}"),
+        ("oracle", "--input", "{star}", "--numbering", "sorted"),
         ("gen", "--", "cycle", "4"),
         ("gen", "cycle", "--", "4"),
         ("gen", "cycle", "4", "--"),
@@ -536,7 +562,7 @@ class TestDispatch:
         *((command, "-h") for command in ("run", "gen", "oracle", "sweep", "verify")),
         ("-h",),
         (),
-        ("--bogus",),
+        ("oracle", "--input", "{star}", "--seed", "3"),
         ("run", "--input", "{star}", "--bogus"),
         ("run", "--input", "{star}", "stray"),
         ("oracle",),
@@ -567,14 +593,14 @@ class TestPgFixesItsPorts:
         p.write_text("2 1\n0 1 1\n1 1 0\n")
         return str(p)
 
-    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
+    @pytest.mark.parametrize("command", [("run",), ("verify", "--trace", "unread")])
     @pytest.mark.parametrize("flag", [("--numbering", "sorted"), ("--seed", "3")])
     def test_numbering_and_seed_refused(self, capsys, k2_pg, command, flag):
         code, out, err = run_cli(capsys, *command, "--input", k2_pg, "--format", "pg", *flag)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: {flag[0]} applies only to .el inputs, not --format pg\n"
 
-    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
+    @pytest.mark.parametrize("command", [("run",), ("verify", "--trace", "unread")])
     @pytest.mark.parametrize("numbering", [(), ("--numbering", "sorted"), ("--numbering", "input")])
     def test_seed_without_random_numbering_refused(self, capsys, k2_el, command, numbering):
         code, out, err = run_cli(capsys, *command, "--input", k2_el, *numbering, "--seed", "3")

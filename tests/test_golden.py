@@ -63,16 +63,17 @@ def _outputs(case: str, tmp: pathlib.Path) -> dict[str, str]:
     """File name -> content for every golden output of one case."""
     name, flags = CASES[case]
     src = ("--input", str(GOLDEN / name)) + flags
+    # sweep and oracle read .el with sorted numbering and take no --numbering or --seed
+    unnumbered = ("--input", str(GOLDEN / name)) + (
+        ("--format", "pg") if name.endswith(".pg") else ())
     trace = tmp / f"{case}.trace"
     files = {}
     codes = {}
     for cmd, argv in (
         ("run", ("run",) + src + ("--trace", str(trace))),
         ("verify", ("verify",) + src + ("--trace", str(trace))),
-        # sweep reads .el with sorted numbering and refuses --numbering
-        ("sweep", ("sweep", "--input", str(GOLDEN / name), "--trials", "3")
-         + (("--format", "pg") if name.endswith(".pg") else ())),
-        ("oracle", ("oracle",) + src),
+        ("sweep", ("sweep",) + unnumbered + ("--trials", "3")),
+        ("oracle", ("oracle",) + unnumbered),
         ("run_oracle", ("run",) + src + ("--with-oracle",)),
     ):
         codes[cmd], files[f"{case}.{cmd}.out"] = _cli(argv)
