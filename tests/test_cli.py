@@ -232,12 +232,6 @@ class TestOracle:
             code, out, err = run_cli(capsys, "oracle", "--input", path, "--cap", "-1")
             assert (code, out, err) == (EXIT_USAGE, "", "usage error: --cap must be >= 0\n")
 
-    # the optimum reads no port numbers, so an .el input takes no numbering flags
-    @pytest.mark.parametrize("flag", [("--numbering", "sorted"), ("--seed", "3")])
-    def test_numbering_flags_refused(self, capsys, k2_el, flag):
-        assert run_cli(capsys, "oracle", "--input", k2_el, *flag) == (
-            EXIT_USAGE, "", f"usage error: unrecognized arguments: {' '.join(flag)}\n")
-
     def test_search_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
         p = str(tmp_path / "p.el")
         run_cli(capsys, "gen", "path", "3000", "-o", p)
@@ -593,19 +587,27 @@ class TestPgFixesItsPorts:
         p.write_text("2 1\n0 1 1\n1 1 0\n")
         return str(p)
 
-    @pytest.mark.parametrize("command", [("run",), ("verify", "--trace", "unread")])
+    # the optimum reads no port numbers, so oracle takes neither flag on any input
+    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
     @pytest.mark.parametrize("flag", [("--numbering", "sorted"), ("--seed", "3")])
     def test_numbering_and_seed_refused(self, capsys, k2_pg, command, flag):
         code, out, err = run_cli(capsys, *command, "--input", k2_pg, "--format", "pg", *flag)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"usage error: {flag[0]} applies only to .el inputs, not --format pg\n"
+        if command == ("oracle",):
+            assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+        else:
+            assert err == f"usage error: {flag[0]} applies only to .el inputs, not --format pg\n"
 
-    @pytest.mark.parametrize("command", [("run",), ("verify", "--trace", "unread")])
+    @pytest.mark.parametrize("command", [("run",), ("oracle",), ("verify", "--trace", "unread")])
     @pytest.mark.parametrize("numbering", [(), ("--numbering", "sorted"), ("--numbering", "input")])
     def test_seed_without_random_numbering_refused(self, capsys, k2_el, command, numbering):
         code, out, err = run_cli(capsys, *command, "--input", k2_el, *numbering, "--seed", "3")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "usage error: --seed applies only to --numbering random\n"
+        if command == ("oracle",):
+            refused = " ".join((*numbering, "--seed", "3"))
+            assert err == f"usage error: unrecognized arguments: {refused}\n"
+        else:
+            assert err == "usage error: --seed applies only to --numbering random\n"
 
     def test_sweep_seed_still_picks_the_trials(self, capsys, k2_pg):
         code, out, _ = run_cli(capsys, "sweep", "--input", k2_pg, "--format", "pg",
