@@ -58,6 +58,13 @@ def _add_choice(p: argparse.ArgumentParser, name: str, choices: tuple[str, ...],
     p.add_argument(name, choices=choices, type=one_of, **kwargs)
 
 
+def _int(token: str) -> int:  # an integer option, read as graph files read one
+    return graph.plain_number(int, token)
+
+
+_int.__name__ = "int"  # argparse's refusal names it: "invalid int value: '1_0'"
+
+
 def _ratio_str(r: Fraction | None) -> str | None:
     if r is None:
         return None
@@ -156,10 +163,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.cap < 0:
-        raise _UsageError("--cap must be >= 0")
     g = _load_graph(args.input, args.format, None, None)
-    res = oracle.solve(g, cap=args.cap)
+    res = oracle.solve(g)
     print(json.dumps({
         "n": g.node_count,
         "m": g.num_edges,
@@ -227,7 +232,7 @@ def _add_input_flags(p: argparse.ArgumentParser, numbering: bool = True) -> None
     if numbering:
         _add_choice(p, "--numbering", graph.NUMBERING_POLICIES,
                     help="port numbering policy for .el inputs (default sorted)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_int, default=None)
 
 
 @functools.cache
@@ -252,19 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a graph as an .el file")
     _add_choice(p_gen, "kind", tuple(graph.GENERATORS))
     p_gen.add_argument("params", nargs="*", default=())
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=_int, default=None)
     p_gen.add_argument("--output", "-o", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_oracle = sub.add_parser("oracle", help="exact minimum vertex cover")
     _add_input_flags(p_oracle, numbering=False)  # the optimum reads no port numbers
-    p_oracle.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="rerun under many port numberings")
     _add_input_flags(p_sweep, numbering=False)  # .el inputs are read with sorted numbering
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--trials", type=int, default=10)
+    p_sweep.add_argument("--seed", type=_int, default=0)
+    p_sweep.add_argument("--trials", type=_int, default=10)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="replay a transcript against a graph")

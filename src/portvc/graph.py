@@ -249,9 +249,9 @@ GENERATORS = {
 def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
     """Dispatch to a named generator; used by the CLI.
 
-    Each parameter, a string on the command line, is converted to the type
-    the generator expects. A wrong parameter count or a value that does not
-    convert raises `GraphError` naming the kind and its parameters.
+    Each parameter, a string on the command line, is read by `plain_number`
+    as the type the generator expects. A wrong parameter count or a value
+    that does not convert raises `GraphError` naming the kind and its params.
     """
     if kind not in GENERATORS:
         raise GraphError(f"unknown generator kind {kind!r}")
@@ -262,7 +262,7 @@ def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
     values = []
     for name, typ, raw in zip(names, types, params):
         try:
-            values.append(typ(raw))
+            values.append(plain_number(typ, raw) if isinstance(raw, str) else typ(raw))
         except (TypeError, ValueError):
             kind_of = "an integer" if typ is int else "a number"
             raise GraphError(f"{expected}; {name} must be {kind_of}, got {raw!r}") from None
@@ -280,6 +280,14 @@ def generate(kind: str, *params, seed: int | None = None) -> EdgeList:
 def _plain_ints(line: str, tokens: list[str]) -> bool:
     """Whether no token of `line` holds `_` or a non-ASCII character: `int` reads both."""
     return "_" not in line and (line.isascii() or all(map(str.isascii, tokens)))
+
+
+def plain_number(typ: type, token: str):
+    """`typ(token)`, `typ` being `int` or `float`, but `ValueError` for a token
+    with whitespace or one `_plain_ints` refuses, although `typ` reads both."""
+    if token.split() != [token] or not _plain_ints(token, [token]):
+        raise ValueError(token)
+    return typ(token)
 
 
 def _int_tokens(line: str, lineno: int) -> list[int]:

@@ -1,6 +1,8 @@
 """Exact minimum vertex cover for desk-scale instances, by branch and bound.
 
-The tests check `solve` against a second, independent method, plain subset
+`solve` refuses a graph over `MAX_NODES` nodes and a search over
+`NODE_LIMIT` tree nodes; the certificate covers those instead. The tests
+check `solve` against a second, independent method, plain subset
 enumeration, so that it is not a single point of trust for the acceptance
 checks that hinge on the true optimum.
 """
@@ -11,7 +13,7 @@ from typing import NamedTuple
 from .errors import OracleRefusal
 from .graph import PortGraph
 
-DEFAULT_CAP = 32
+MAX_NODES = 32  # larger instances are refused: use the certificate
 NODE_LIMIT = 10_000_000  # search tree nodes before `solve` refuses
 
 
@@ -30,42 +32,21 @@ def _edges_and_adj(g: PortGraph) -> tuple[list[tuple[int, int]], list[set[int]]]
     return edges, adj
 
 
-def _matching_bound(edges: list[tuple[int, int]], covered: set[int]) -> int:
-    """Greedy matching on the uncovered edges; its size lower-bounds the
-    number of extra cover nodes still needed."""
-    used: set[int] = set()
-    size = 0
-    for u, v in edges:
-        if u in covered or v in covered or u in used or v in used:
-            continue
-        used.add(u)
-        used.add(v)
-        size += 1
-    return size
-
-
-def solve(g: PortGraph, cap: int = DEFAULT_CAP) -> OracleResult:
+def solve(g: PortGraph) -> OracleResult:
     """Exact optimum by branch and bound.
 
-    Branches on an uncovered edge {u, v}: either u joins the cover, or u is
-    excluded, forcing all of u's neighbours in. Pruned by the incumbent and
-    a greedy-matching lower bound. Refuses instances over `cap` nodes, and
-    searches over `NODE_LIMIT` tree nodes or deeper than the recursion limit.
+    Branches on the first uncovered edge {u, v}: either u joins the cover,
+    or u is excluded, forcing all of u's neighbours in. Pruned by the
+    incumbent and a greedy-matching lower bound. Refuses a graph over
+    `MAX_NODES` nodes and a search over `NODE_LIMIT` tree nodes. Each level
+    of the search adds at least one node to the cover, so it nests at most
+    `MAX_NODES + 1` levels deep.
     """
     n = g.node_count
-    if n > cap:
-        raise OracleRefusal(f"instance has {n} nodes, cap is {cap}; use the certificate")
-    edges, adj = _edges_and_adj(g)
-    if not edges:
-        return OracleResult(0, frozenset(), 1)
-
-    search = _Search(edges, adj, n)
-    try:
-        search.recurse(set())
-    except RecursionError:  # about one level per cover node
-        raise OracleRefusal(
-            f"search on {n} nodes nests past the recursion limit; use the certificate"
-        ) from None
+    if n > MAX_NODES:
+        raise OracleRefusal(f"instance has {n} nodes, cap is {MAX_NODES}; use the certificate")
+    search = _Search(*_edges_and_adj(g), n)
+    search.recurse(set())
     return OracleResult(search.best_size, frozenset(search.best_cover), search.explored)
 
 
@@ -92,17 +73,23 @@ class _Search:
             )
         if len(cover) >= self.best_size:
             return
-        edges = self.edges
-        uncovered = next(
-            ((u, v) for u, v in edges if u not in cover and v not in cover), None
-        )
-        if uncovered is None:
+        # a greedy matching on the uncovered edges: its first edge is the first
+        # uncovered edge, to branch on, and its size lower-bounds the extra
+        # cover nodes still needed
+        taken = set(cover)
+        matching = []
+        for u, v in self.edges:
+            if u not in taken and v not in taken:
+                taken.add(u)
+                taken.add(v)
+                matching.append((u, v))
+        if not matching:
             self.best_size = len(cover)
             self.best_cover = set(cover)
             return
-        if len(cover) + _matching_bound(edges, cover) >= self.best_size:
+        if len(cover) + len(matching) >= self.best_size:
             return
-        u, v = uncovered
+        u, v = matching[0]
         self.recurse(cover | {u})
         # u excluded: every edge at u must be covered by the other endpoint
         self.recurse(cover | self.adj[u])

@@ -165,6 +165,13 @@ class TestGen:
             (("path", "3", "4"), "path generator takes params: n; got 2"),
             (("star", "3", "4"), "star generator takes params: leaves; got 2"),
             (("clique", "2.5"), "clique generator takes params: n; n must be an integer, got '2.5'"),
+            # `int` and `float` read these, but `vc` refuses `_`, non-ASCII digits and padding
+            (("cycle", "1_0"), "cycle generator takes params: n; n must be an integer, got '1_0'"),
+            (("cycle", "\u0666"),
+             "cycle generator takes params: n; n must be an integer, got '\u0666'"),
+            (("cycle", " 4"), "cycle generator takes params: n; n must be an integer, got ' 4'"),
+            (("random", "10", "3", "0.5_0", "--seed", "1"),
+             "random generator takes params: n max_degree p; p must be a number, got '0.5_0'"),
             (("random", "10", "x", "0.5", "--seed", "1"),
              "random generator takes params: n max_degree p; max_degree must be an integer, "
              "got 'x'"),
@@ -219,26 +226,17 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--input", star3_el)
         assert json.loads(out)["optimum_size"] == 1
 
-    def test_cap_refusal_exit_code(self, capsys, k2_el):
-        code, _, err = run_cli(capsys, "oracle", "--input", k2_el, "--cap", "1")
-        assert code == EXIT_ORACLE
-        assert "oracle refusal" in err
-
-    def test_negative_cap_usage_error(self, capsys, tmp_path):
-        p = tmp_path / "empty.el"
-        p.write_text("0\n")
-        # refused before the input is read, so a missing file gives the same error
-        for path in (str(p), str(tmp_path / "missing.el")):
-            code, out, err = run_cli(capsys, "oracle", "--input", path, "--cap", "-1")
-            assert (code, out, err) == (EXIT_USAGE, "", "usage error: --cap must be >= 0\n")
-
-    def test_search_past_the_recursion_limit_is_refused(self, capsys, tmp_path):
+    def test_cap_refusal_exit_code(self, capsys, tmp_path):
         p = str(tmp_path / "p.el")
-        run_cli(capsys, "gen", "path", "3000", "-o", p)
-        code, out, err = run_cli(capsys, "oracle", "--input", p, "--cap", "5000")
-        assert (code, out) == (EXIT_ORACLE, "")
-        assert err == ("oracle refusal: search on 3000 nodes nests past the recursion limit; "
-                       "use the certificate\n")
+        run_cli(capsys, "gen", "path", "33", "-o", p)
+        for command in ("oracle", "run --with-oracle"):
+            code, out, err = run_cli(capsys, *command.split(), "--input", p)
+            assert (code, out) == (EXIT_ORACLE, ""), command
+            assert err == "oracle refusal: instance has 33 nodes, cap is 32; use the certificate\n"
+
+    def test_cap_is_not_an_option(self, capsys, k2_el):
+        code, out, err = run_cli(capsys, "oracle", "--input", k2_el, "--cap", "5")
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: unrecognized arguments: --cap 5\n")
 
 
 class TestSweep:
@@ -284,6 +282,22 @@ class TestSweep:
         _, out1, _ = run_cli(capsys, "sweep", "--input", star3_el, "--trials", "5")
         _, out2, _ = run_cli(capsys, "sweep", "--input", star3_el, "--trials", "5", "--seed", "0")
         assert out1 == out2
+
+    def test_trial_is_a_random_numbering_run(self, capsys, tmp_path):
+        el = str(tmp_path / "r.el")
+        run_cli(capsys, "gen", "random", "40", "4", "0.15", "--seed", "3", "-o", el)
+        code, out, _ = run_cli(capsys, "sweep", "--input", el, "--seed", "5", "--trials", "3")
+        assert code == EXIT_OK
+        trials = [json.loads(line) for line in out.splitlines()[:-1]]
+        runs = []
+        for seed in ("5", "6", "7"):
+            code, out, _ = run_cli(capsys, "run", "--input", el, "--numbering", "random",
+                                   "--seed", seed)
+            assert code == EXIT_OK
+            runs.append(json.loads(out))
+        assert [t["cover_size"] for t in trials] == [r["cover_size"] for r in runs] == [36, 35, 33]
+        assert [t["certified_ratio"] for t in trials] == [r["certified_ratio"] for r in runs]
+        assert all(t["checks_pass"] for t in trials)
 
     def test_numbering_flag_refused(self, capsys, k2_el):
         # .el inputs are always read with sorted numbering; the trials permute the ports
@@ -409,7 +423,7 @@ REUSE_PAIRS = [
      ("run", "--input", "{star}")),
     (("gen", "random", "12", "3", "0.4", "--seed", "7"), ("gen", "cycle", "5")),
     (("gen", "star", "3", "-o", "{out}"), ("gen", "star", "3")),
-    (("oracle", "--input", "{star}", "--cap", "1"), ("oracle", "--input", "{star}")),
+    (("oracle", "--input", "{pg}", "--format", "pg"), ("oracle", "--input", "{star}")),
     (("verify", "--input", "{star}", "--trace", "{trace}"), ("run", "--input", "{star}")),
 ]
 
@@ -429,8 +443,10 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("earlier, later", REUSE_PAIRS)
     def test_later_call_ignores_earlier_flags(self, star3_el, tmp_path, earlier, later):
+        pg = tmp_path / "star3.pg"
+        pg.write_text("4 3\n0 3 1 2 3\n1 1 0\n2 1 0\n3 1 0\n")
         paths = {"star": star3_el, "trace": str(tmp_path / "t.trace"),
-                 "out": str(tmp_path / "o.el")}
+                 "out": str(tmp_path / "o.el"), "pg": str(pg)}
         earlier = [a.format(**paths) for a in earlier]
         later = [a.format(**paths) for a in later]
         _quiet_main(["run", "--input", star3_el, "--trace", paths["trace"]])
@@ -509,6 +525,21 @@ class TestUsage:
     ])
     def test_one_grammar(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+    # `int` would read these as 10, 6 and 1, but `vc` refuses `_`, non-ASCII digits and padding
+    @pytest.mark.parametrize("token", ["1_0", "\u0666", " 1"])
+    @pytest.mark.parametrize("argv", [
+        ("gen", "random", "10", "3", "0.5", "--seed", "{}"),
+        ("run", "--input", "unread", "--numbering", "random", "--seed", "{}"),
+        ("verify", "--input", "unread", "--trace", "unread", "--numbering", "random",
+         "--seed", "{}"),
+        ("sweep", "--input", "unread", "--seed", "{}"),
+        ("sweep", "--input", "unread", "--trials", "{}"),
+    ])
+    def test_integer_option_grammar(self, capsys, argv, token):
+        message = f"argument {argv[-2]}: invalid int value: {token!r}"
+        assert run_cli(capsys, *(a.format(token) for a in argv)) == (
+            EXIT_USAGE, "", f"usage error: {message}\n")
 
     def test_no_argument_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["vc", "gen", "path", "3"])

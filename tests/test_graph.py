@@ -20,7 +20,7 @@ from portvc.graph import (
     star_edges,
 )
 
-from conftest import g_from_pairs, k2, peak_bytes
+from conftest import g_from_pairs, k2, load_corpus, peak_bytes
 from reference_graph import edge_set, serialize, validate
 
 
@@ -75,6 +75,15 @@ class TestFromEdgeList:
     def test_random_policy_is_deterministic(self):
         el = star_edges(5)
         assert from_edge_list(el, "random", 7) == from_edge_list(el, "random", 7)
+
+    def test_random_policy_is_sorted_then_permuted(self):
+        # what makes a `vc sweep` trial on an .el input the `vc run --numbering
+        # random` with the trial's seed: sweep reads sorted and permutes the ports
+        for i, (n, pairs) in enumerate(load_corpus()):
+            el = EdgeList.from_pairs(n, pairs)
+            sorted_g = from_edge_list(el, "sorted")
+            for seed in (0, 1, i):
+                assert permute_ports(sorted_g, seed) == from_edge_list(el, "random", seed), (i, seed)
 
     @pytest.mark.parametrize("policy,seed", [("sorted", None), ("input", None), ("random", 3)])
     def test_edge_set_preserved(self, policy, seed):

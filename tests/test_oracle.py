@@ -3,7 +3,7 @@ import pytest
 from portvc import oracle
 from portvc.analysis import check_cover
 from portvc.errors import OracleRefusal
-from portvc.graph import clique_edges, from_edge_list, permute_ports, random_bounded_edges
+from portvc.graph import from_edge_list, permute_ports, random_bounded_edges
 from portvc.oracle import _edges_and_adj, solve
 
 from conftest import clique, cycle, g_from_pairs, k2, load_corpus, path, petersen, star
@@ -34,27 +34,29 @@ class TestSolve:
             assert len(res.optimum_cover) == res.optimum_size
 
     def test_cap_refusal(self):
-        g = from_edge_list(clique_edges(6))
-        with pytest.raises(OracleRefusal, match="cap"):
-            solve(g, cap=5)
+        assert solve(path(oracle.MAX_NODES)).optimum_size == 16
+        with pytest.raises(OracleRefusal,
+                           match=r"^instance has 33 nodes, cap is 32; use the certificate$"):
+            solve(path(33))
 
     def test_node_limit_refusal(self, monkeypatch):
         monkeypatch.setattr(oracle, "NODE_LIMIT", 2)
         with pytest.raises(OracleRefusal, match="budget"):
             solve(petersen())
 
-    def test_recursion_limit_refusal(self):
-        # the search nests about one level per cover node, and the default
-        # recursion limit is 1000
-        with pytest.raises(OracleRefusal, match=r"^search on 1000 nodes nests past the recursion"):
-            solve(path(1000), cap=1000)
-
+    def test_search_order_pinned(self):
+        # `explored_nodes` counts the search tree, so these pin the branching
+        # order and the pruning, not only the optimum
+        corpus = [g_from_pairs(n, pairs) for n, pairs in load_corpus()]
+        assert sum(solve(g).explored_nodes for g in corpus) == 178_283
+        res = solve(from_edge_list(random_bounded_edges(32, 4, 0.2, 1)))
+        assert (res.optimum_size, res.explored_nodes) == (18, 775)
 
     def test_edges_in_sorted_order(self):
         # the edge order fixes the branching, so `explored_nodes` and the cover.
         # In CPython a set of ints below 8 iterates in ascending order, so the
         # corpus alone cannot tell a sorted neighbour set from an unsorted one:
-        # add a graph on 32 nodes, the default cap.
+        # add a graph on 32 nodes, the most `solve` takes.
         graphs = [g_from_pairs(n, pairs) for n, pairs in load_corpus()]
         graphs.append(from_edge_list(random_bounded_edges(32, 4, 0.2, 1)))
         for g in graphs:
